@@ -28,6 +28,10 @@ class UsageError(Exception):
     pass
 
 
+class DataError(Exception):
+    """Malformed input data; the message names the file."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -79,7 +83,11 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip()
+            dest = key.replace("-", "_")
+            if dest not in _CONVERTERS:
+                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[dest] = value.strip()
     return values
 
 
@@ -147,26 +155,25 @@ def cmd_fold(args) -> int:
     sequences = seqcore.read_sequence_file(args.input)
     with _open_out(args.output) as out:
         if args.format == "json":
-            records = []
-            for q, table, structure in _fold_blocks(sequences, params):
-                records.append(
-                    {
-                        "sequence": q.text,
-                        "min_free_energy": table.min_free_energy,
-                        "has_structure": table.min_free_energy <= args.threshold,
-                        "threshold": args.threshold,
-                        "pairs": [list(p) for p in structure.sorted_pairs()],
-                        "dot_bracket": folding.dot_bracket(structure, table.n),
-                        "table": [
-                            [
-                                table.value(i, j) if j >= i - 1 else "*"
-                                for j in range(1, table.n + 1)
-                            ]
-                            for i in range(1, table.n + 1)
-                        ],
-                    }
-                )
-            out.write(json.dumps(records, indent=2) + "\n")
+            # One record at a time, in the bytes json.dumps(records, indent=2)
+            # gives: a record's own lines shift right by one indent level.
+            out.write("[")
+            for count, (q, table, structure) in enumerate(_fold_blocks(sequences, params)):
+                record = {
+                    "sequence": q.text,
+                    "min_free_energy": table.min_free_energy,
+                    "has_structure": table.min_free_energy <= args.threshold,
+                    "threshold": args.threshold,
+                    "pairs": [list(p) for p in structure.sorted_pairs()],
+                    "dot_bracket": folding.dot_bracket(structure, table.n),
+                    "table": [
+                        [table.value(i, j) if j >= i - 1 else "*" for j in range(1, table.n + 1)]
+                        for i in range(1, table.n + 1)
+                    ],
+                }
+                text = json.dumps(record, indent=2).replace("\n", "\n  ")
+                out.write(("," if count else "") + "\n  " + text)
+            out.write("\n]\n" if sequences else "]\n")
         else:
             for q, table, structure in _fold_blocks(sequences, params):
                 folds = table.min_free_energy <= args.threshold
@@ -204,8 +211,9 @@ def _screen_reason(q, args, params, model) -> str | None:
         bound = args.max_mu if args.max_mu is not None else 0
         depth = args.s if args.s is not None else len(q) - 1
         depth = min(depth, len(q) - 1)
+        even, odd = seqcore.packed_image(q)
         for i in range(1, depth + 1):
-            v = seqcore.mu(q, i)
+            v = seqcore.packed_mu(even, odd, len(q), i)
             if v > bound:
                 return f"mu_{i} {v}"
     if args.threshold is not None:
@@ -391,6 +399,20 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
+def _load_sidecar(path: str) -> dict:
+    """The JSON object in a metadata sidecar."""
+    with open(path, "r", encoding="ascii") as handle:
+        try:
+            declared = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not an ASCII file") from None
+    if not isinstance(declared, dict):
+        raise DataError(f"{path}: expected a JSON object at the top level")
+    return declared
+
+
 def cmd_verify(args) -> int:
     _resolve(
         args,
@@ -409,18 +431,12 @@ def cmd_verify(args) -> int:
     sequences = seqcore.read_sequence_file(args.input)
     if not sequences:
         raise SequenceParseError("no sequences to verify", path=args.input, line=0)
-    declared = None
-    meta_path = args.meta
-    if meta_path is None:
-        candidate = args.input + ".meta.json"
-        try:
-            with open(candidate, "r", encoding="ascii") as handle:
-                declared = json.load(handle)
-        except FileNotFoundError:
-            declared = None
-    else:
-        with open(meta_path, "r", encoding="ascii") as handle:
-            declared = json.load(handle)
+    try:
+        declared = _load_sidecar(args.meta or args.input + ".meta.json")
+    except FileNotFoundError:
+        if args.meta is not None:
+            raise
+        declared = None
     m = args.m if args.m is not None else (declared or {}).get("m")
     code = codegen.load_dna_code(
         sequences, m=m, generator=(declared or {}).get("generator")
@@ -466,7 +482,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fold", help="energy table and structure per sequence")
     add_common(p)
-    p.add_argument("--format", choices=["text", "csv", "tsv", "json"], help="output format (default text)")
+    p.add_argument("--format", choices=["text", "csv", "json"], help="output format (default text)")
     p.add_argument("--threshold", type=int, help="structure threshold (default -2)")
     p.add_argument("--at-energy", type=int, dest="at_energy", help="A-T pair energy (default -1)")
     p.add_argument("--gc-energy", type=int, dest="gc_energy", help="G-C pair energy (default -2)")
@@ -548,7 +564,7 @@ def main(argv=None) -> int:
     except OracleCapError as exc:
         print(f"oligoforge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SequenceParseError as exc:
+    except (SequenceParseError, DataError) as exc:
         print(f"oligoforge: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except codegen.SimplexCodeError as exc:

@@ -2,9 +2,9 @@
 
 The predictor fills a table E[i][j] holding the minimum energy of any
 non-crossing set of complementary pairings within positions i..j, using
-per-pair energies (A-T and G-C only) and a bifurcation minimum. All
-energies are exact integers; the simpler screening score in
-``linear_energy`` uses exact rationals.
+per-pair energies (A-T and G-C only), with position j either unpaired or
+paired to a complementary partner. All energies are exact integers; the
+simpler screening score in ``linear_energy`` uses exact rationals.
 """
 
 from __future__ import annotations
@@ -84,24 +84,45 @@ class EnergyTable:
 def nussinov_table(q: DnaSequence | str, params: EnergyParams | None = None) -> EnergyTable:
     """Fill the energy table for q.
 
-    Diagonal and first sub-diagonal start at zero; each remaining cell is
-    the minimum of pairing the endpoints, E[i+1][j-1] + alpha(q_i, q_j),
-    and every split E[i][k-1] + E[k][j] for i < k <= j. Runs in O(n^3).
+    Diagonal and first sub-diagonal start at zero. Each remaining cell
+    leaves j unpaired or pairs it with some partner k, i <= k < j:
+
+        E[i][j] = min(E[i][j-1],
+                      min over k with alpha(q_k, q_j) < 0 of
+                          E[i][k-1] + (E[k+1][j-1] + alpha(q_k, q_j)))
+
+    Rows run from i = n-1 down to 1 and j runs upward. The bracketed term
+    is fixed once row k+1 is filled, so it joins column j's candidate list
+    when row k is reached, and each cell scans only the complementary
+    partners of j (about a quarter of the positions). This is the same
+    table, cell for cell, as the split form that pairs the endpoints or
+    splits at every k: both are the exact minimum over non-crossing
+    structures within i..j. Runs in O(n^3).
     """
     params = params or DEFAULT_ENERGY_PARAMS
     s = _text(q)
     n = len(s)
     alpha = params._alpha
+    # positions j (descending) that pair with base x, and the pair energy
+    partners = {
+        x: [(j, a) for j in range(n, 0, -1) if (a := alpha[x + s[j - 1]]) < 0]
+        for x in set(s)
+    }
     grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for span in range(1, n):
-        for i in range(1, n - span + 1):
-            j = i + span
-            row = grid[i]
-            best = grid[i + 1][j - 1] + alpha[s[i - 1] + s[j - 1]]
-            for k in range(i + 1, j + 1):
-                v = row[k - 1] + grid[k][j]
-                if v < best:
-                    best = v
+    candidates = [[] for _ in range(n + 1)]  # column j: (k-1, E[k+1][j-1] + alpha)
+    for i in range(n - 1, 0, -1):
+        row = grid[i]
+        below = grid[i + 1]
+        for j, a in partners[s[i - 1]]:
+            if j <= i:
+                break
+            candidates[j].append((i - 1, below[j - 1] + a))
+        best = 0  # E[i][i]
+        for j in range(i + 1, n + 1):
+            for left, c in candidates[j]:
+                c += row[left]
+                if c < best:
+                    best = c
             row[j] = best
     return EnergyTable(n, grid)
 

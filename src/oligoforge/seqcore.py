@@ -14,8 +14,8 @@ COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
 
 # Two-bit encoding per base: first bit goes to the even subsequence,
 # second bit to the odd subsequence (A=00, T=01, C=10, G=11).
-_EVEN_BIT = {"A": "0", "T": "0", "C": "1", "G": "1"}
-_ODD_BIT = {"A": "0", "T": "1", "C": "0", "G": "1"}
+_EVEN_BITS = str.maketrans("ACGT", "0110")
+_ODD_BITS = str.maketrans("ACGT", "0011")
 _BASE_FROM_BITS = {("0", "0"): "A", ("0", "1"): "T", ("1", "0"): "C", ("1", "1"): "G"}
 
 
@@ -117,6 +117,26 @@ def wc_distance(p: DnaSequence | str, r: DnaSequence | str) -> int:
     return sum(a != COMPLEMENT[b] for a, b in zip(pt, rt))
 
 
+def packed_image(q: DnaSequence | str) -> tuple[int, int]:
+    """Even and odd subsequences of q's binary image as ints.
+
+    The first base sits in the highest bit, so bit n-1-l of either int
+    belongs to 0-based position l.
+    """
+    qt = _text(q)
+    return int(qt.translate(_EVEN_BITS), 2), int(qt.translate(_ODD_BITS), 2)
+
+
+def packed_mu(even: int, odd: int, n: int, i: int) -> int:
+    """mu(q, i) from q's packed image (even, odd) and length n.
+
+    q[l] matches the complement of q[l+i] exactly where their even bits are
+    equal and their odd bits differ, so the count is
+    popcount(~(E ^ E>>i) & (O ^ O>>i) & mask(n-i)).
+    """
+    return (~(even ^ even >> i) & (odd ^ odd >> i) & ((1 << n - i) - 1)).bit_count()
+
+
 def mu(q: DnaSequence | str, i: int) -> int:
     """Count positions where q matches the complement of its own i-shift.
 
@@ -125,20 +145,18 @@ def mu(q: DnaSequence | str, i: int) -> int:
     first few mu values are zero has no complementary matches against its
     short shifts, which is the folding-resistance screen used throughout.
     """
-    qt = _text(q)
-    n = len(qt)
+    even, odd = packed_image(q)
+    n = len(q)
     if not 0 <= i <= n - 1:
         raise ValueError(f"shift {i} out of range for length {n}")
-    return sum(qt[l] == COMPLEMENT[qt[l + i]] for l in range(n - i))
+    return packed_mu(even, odd, n, i)
 
 
 def shift_profile(q: DnaSequence | str) -> tuple[int, ...]:
     """All shift-match counts (mu(q, 0), ..., mu(q, n-1))."""
-    qt = _text(q)
-    n = len(qt)
-    return tuple(
-        sum(qt[l] == COMPLEMENT[qt[l + i]] for l in range(n - i)) for i in range(n)
-    )
+    even, odd = packed_image(q)
+    n = len(q)
+    return tuple(packed_mu(even, odd, n, i) for i in range(n))
 
 
 def gc_content(q: DnaSequence | str) -> int:
@@ -162,8 +180,8 @@ def binary_image(q: DnaSequence | str) -> BinaryImage:
     bit. The even subsequence has weight equal to the GC-content.
     """
     qt = _text(q)
-    even = "".join(_EVEN_BIT[b] for b in qt)
-    odd = "".join(_ODD_BIT[b] for b in qt)
+    even = qt.translate(_EVEN_BITS)
+    odd = qt.translate(_ODD_BITS)
     bits = "".join(e + o for e, o in zip(even, odd))
     return BinaryImage(bits, even, odd)
 
@@ -205,11 +223,20 @@ def read_sequence_file(path: str) -> list[DnaSequence]:
     """Read sequences from a text file, one per line.
 
     Blank lines and lines starting with '#' are skipped; surrounding
-    whitespace is stripped. Parse failures report the path and line number.
+    whitespace is stripped. Parse failures, a non-ASCII byte included,
+    report the path and line number.
     """
     sequences = []
-    with open(path, "r", encoding="ascii") as handle:
+    # undecodable bytes become lone surrogates, reported per line below
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                pos, ch = next((p, c) for p, c in enumerate(raw, start=1) if not c.isascii())
+                raise SequenceParseError(
+                    f"non-ASCII byte 0x{ord(ch) - 0xDC00:02x} at position {pos}",
+                    path=path,
+                    line=lineno,
+                )
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -44,6 +44,30 @@ def noncrossing_pairings(word: str, at: int = -1, gc: int = -2):
     yield from gen(0, len(word) - 1)
 
 
+def split_fill(word: str, at: int = -1, gc: int = -2) -> list[list[int]]:
+    """Energy table by the split recursion, as a 1-based (n+1)x(n+1) grid.
+
+    Each cell is the minimum of pairing the endpoints,
+    E[i+1][j-1] + alpha(q_i, q_j), and every split E[i][k-1] + E[k][j] for
+    i < k <= j, filled by increasing span. The library's partner-scan fill
+    uses another recursion; both give the exact minimum over non-crossing
+    structures, so the tables must agree cell for cell.
+    """
+    n = len(word)
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    for span in range(1, n):
+        for i in range(1, n - span + 1):
+            j = i + span
+            row = grid[i]
+            best = grid[i + 1][j - 1] + pair_energy(word[i - 1], word[j - 1], at, gc)
+            for k in range(i + 1, j + 1):
+                v = row[k - 1] + grid[k][j]
+                if v < best:
+                    best = v
+            row[j] = best
+    return grid
+
+
 def min_energy_noncrossing(word: str, at: int = -1, gc: int = -2) -> int:
     """Exhaustive minimum energy over all non-crossing pairings."""
     return min(

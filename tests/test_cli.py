@@ -1,7 +1,7 @@
 import json
 import math
 
-from oligoforge import cli
+from oligoforge import cli, folding
 from oligoforge.codegen import build_dna_code, simplex_code
 
 from fixtures import TABLE_1, TABLE_2, TABLE_SEQ_1, TABLE_SEQ_2
@@ -87,6 +87,40 @@ class TestFold:
         assert records[0]["sequence"] == TABLE_SEQ_2
         assert records[0]["min_free_energy"] == -1
         assert records[0]["has_structure"] is False
+
+    def test_json_bytes_match_whole_list_dump(self, tmp_path, capsys):
+        for words in ([], [TABLE_SEQ_2], [TABLE_SEQ_1, TABLE_SEQ_2, "C"]):
+            rc, captured = self.run_fold(tmp_path, capsys, words, "--format", "json")
+            assert rc == 0
+            records = []
+            for word in words:
+                table = folding.nussinov_table(word)
+                structure = folding.traceback(table, word)
+                energy = table.min_free_energy
+                records.append(
+                    {
+                        "sequence": word,
+                        "min_free_energy": energy,
+                        "has_structure": energy <= -2,
+                        "threshold": -2,
+                        "pairs": [list(p) for p in structure.sorted_pairs()],
+                        "dot_bracket": folding.dot_bracket(structure, table.n),
+                        "table": [
+                            [table.value(i, j) if j >= i - 1 else "*" for j in range(1, table.n + 1)]
+                            for i in range(1, table.n + 1)
+                        ],
+                    }
+                )
+            assert captured.out == json.dumps(records, indent=2) + "\n"
+
+    def test_non_ascii_byte_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"ACGT\nAC\xc3\xa9T\n")
+        rc = cli.main(["fold", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}:2:" in err
+        assert "non-ASCII byte 0xc3 at position 3" in err
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
@@ -312,6 +346,29 @@ class TestVerify:
         assert rc == 3
         assert "exceeds bound" in captured.out
 
+    def test_malformed_sidecar_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "3", "--output", str(out)]) == 0
+        meta_path = tmp_path / "code.txt.meta.json"
+        meta_path.write_text('{"m": 3,\n "size": }\n')
+        capsys.readouterr()
+        rc = cli.main(["verify", "--input", str(out)])
+        assert rc == 2
+        assert f"{meta_path}:2: malformed JSON" in capsys.readouterr().err
+        meta_path.write_bytes(b'{"m": 3, "generator": "\xc3\xa9"}\n')
+        rc = cli.main(["verify", "--input", str(out)])
+        assert rc == 2
+        assert f"{meta_path}: not an ASCII file" in capsys.readouterr().err
+
+    def test_sidecar_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "code.txt"
+        write_lines(path, [w.text for w in build_dna_code(simplex_code(3)).codewords])
+        meta_path = tmp_path / "list.json"
+        meta_path.write_text("[1,2]\n")
+        rc = cli.main(["verify", "--input", str(path), "--meta", str(meta_path)])
+        assert rc == 2
+        assert f"{meta_path}: expected a JSON object" in capsys.readouterr().err
+
     def test_plain_file_without_metadata(self, tmp_path, capsys):
         path = tmp_path / "plain.txt"
         write_lines(path, ["ACGT", "TGCA"])
@@ -366,6 +423,20 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threshold\n")
         assert cli.main(["enumerate", "--config", str(cfg)]) == 1
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        write_lines(path, [TABLE_SEQ_1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# shared settings\ngenerator=1110100\nthreshhold=-2\n")
+        rc = cli.main(["screen", "--input", str(path), "--config", str(cfg)])
+        assert rc == 1
+        assert f"{cfg}:3: unknown config key 'threshhold'" in capsys.readouterr().err
+        # a key another subcommand takes is allowed
+        cfg.write_text("generator=1110100\nthreshold=-2\n")
+        rc = cli.main(["screen", "--input", str(path), "--config", str(cfg)])
+        assert rc == 0
+        assert "energy -6" in capsys.readouterr().err
 
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oligoforge.folding import (
     DEFAULT_STRUCTURE_THRESHOLD,
     EnergyParams,
+    EnergyTable,
     LinearEnergyModel,
     dot_bracket,
     format_table_csv,
@@ -138,6 +141,25 @@ def assert_sound_structure(word, table, structure, params=None):
         assert params.alpha(word[i - 1], word[j - 1]) < 0
     total = sum(params.alpha(word[i - 1], word[j - 1]) for i, j in structure.pairs)
     assert total == structure.energy == table.min_free_energy
+
+
+class TestFillAgainstSplitForm:
+    @settings(deadline=None)
+    @given(
+        word=st.text(alphabet="ACGT", min_size=1, max_size=40),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+    )
+    def test_every_cell_and_traceback(self, word, at, gc):
+        params = EnergyParams(at, gc)
+        table = nussinov_table(word, params)
+        grid = oracles.split_fill(word, at, gc)
+        n = len(word)
+        for i in range(1, n + 1):
+            for j in range(max(i - 1, 1), n + 1):
+                assert table.value(i, j) == grid[i][j], (i, j)
+        reference = traceback(EnergyTable(n, grid), word, params)
+        assert traceback(table, word, params) == reference
 
 
 class TestTraceback:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oligoforge import seqcore
 from oligoforge.seqcore import (
@@ -15,6 +17,8 @@ from oligoforge.seqcore import (
     gc_content,
     hamming_distance,
     mu,
+    packed_image,
+    packed_mu,
     read_sequence_file,
     sequence_from_even_odd,
     shift_profile,
@@ -179,6 +183,22 @@ class TestShiftProfile:
             word = random_word(rng, rng.randint(1, 25))
             profile = shift_profile(word)
             assert profile == tuple(mu(word, i) for i in range(len(word)))
+
+
+class TestPackedMu:
+    @given(word=st.text(alphabet="ACGTacgt", min_size=1, max_size=130))
+    def test_matches_direct_count(self, word):
+        upper = word.upper()
+        n = len(word)
+        expected = tuple(oracles.direct_mu(upper, i) for i in range(n))
+        assert shift_profile(word) == expected
+        assert tuple(mu(word, i) for i in range(n)) == expected
+        even, odd = packed_image(word)
+        assert tuple(packed_mu(even, odd, n, i) for i in range(n)) == expected
+
+    def test_image_bits(self):
+        img = binary_image("TGGCTCA")
+        assert packed_image("TGGCTCA") == (int(img.even, 2), int(img.odd, 2))
 
 
 class TestGcContent:
