@@ -2,8 +2,10 @@
 
 Commands: fold, screen, enumerate, gf, count, construct, verify. Options
 may come from the command line, a flat key=value config file (--config),
-or built-in defaults, in that order of precedence. Exit codes: 0 success,
-1 usage error, 2 data/parse error, 3 verification failure.
+or built-in defaults, in that order of precedence. Each option is declared
+once in OPTIONS, each command's defaults once in COMMANDS, and the exit
+code of each error once in _EXIT_CODES. Exit codes: 0 success, 1 usage
+error, 2 data/parse error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import codegen, enumeration, folding, seqcore
-from .enumeration import OracleCapError
 from .seqcore import SequenceParseError
 
 EXIT_OK = 0
@@ -38,45 +39,66 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_bool(value: str) -> bool:
+    """Config-file form of a bare flag; on the command line the flag is store_const."""
     lowered = value.strip().lower()
     if lowered in {"1", "true", "yes", "on"}:
         return True
     if lowered in {"0", "false", "no", "off"}:
         return False
-    raise UsageError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# dest -> converter used when the value comes from a config file
-_CONVERTERS = {
-    "s": int,
-    "n": int,
-    "m": int,
-    "w": int,
-    "max_mu": int,
-    "gc_min": int,
-    "gc_max": int,
-    "threshold": int,
-    "at_energy": int,
-    "gc_energy": int,
-    "approx_threshold": Fraction,
-    "tol": float,
-    "format": str,
-    "generator": str,
-    "input": str,
-    "output": str,
-    "log": str,
-    "meta": str,
-    "oracle": _parse_bool,
-    "mu1": _parse_bool,
-    "gc": _parse_bool,
+def _fraction(value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {value!r}") from None
+
+
+def _fold_format(value: str) -> str:
+    if value not in ("text", "csv", "json"):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from 'text', 'csv', 'json')"
+        )
+    return value
+
+
+# dest -> (flags, converter, help). The converter reads the value both from
+# the command line and from a config file; the config keys are these dests.
+OPTIONS = {
+    "input": (("--input",), str, "input sequence file"),
+    "output": (("--output",), str, "output file (stdout when unset)"),
+    "log": (("--log",), str, "rejection log (stderr when unset)"),
+    "meta": (("--meta",), str, "metadata sidecar (<input>.meta.json if present when unset)"),
+    "format": (("--format",), _fold_format, "output format: text, csv or json"),
+    "s": (("-s",), int, "shift depth"),
+    "n": (("-n",), int, "word length, or the largest length of a table"),
+    "m": (("-m",), int, "simplex dimension (>= 2)"),
+    "w": (("-w",), int, "GC-content: the one screen keeps, or the one count --gc prints"),
+    "max_mu": (("--max-mu",), int, "largest allowed mu_i, i <= s (all i without -s; 0 if unset)"),
+    "gc_min": (("--gc-min",), int, "smallest allowed GC-content"),
+    "gc_max": (("--gc-max",), int, "largest allowed GC-content"),
+    "threshold": (("--threshold",), int, "structure threshold: energy <= it folds"),
+    "approx_threshold": (("--approx-threshold",), _fraction, "reject when linear score <= it"),
+    "at_energy": (("--at-energy",), int, "A-T pair energy"),
+    "gc_energy": (("--gc-energy",), int, "G-C pair energy"),
+    "tol": (("--tol",), float, "bisection tolerance"),
+    "generator": (("--generator",), str, "generator bit string (built-in when unset)"),
+    "oracle": (("--oracle",), _parse_bool, "add brute-force column"),
+    "mu1": (("--mu1",), _parse_bool, "counts by shift-1 match count"),
+    "gc": (("--gc",), _parse_bool, "mu_1 = 0 counts by GC-content"),
 }
 
 
 def load_config(path: str) -> dict[str, str]:
     """Flat key=value file; blank lines and '#' comments are skipped."""
     values = {}
-    with open(path, "r", encoding="ascii") as handle:
+    # undecodable bytes become lone surrogates, reported per line below
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            problem = seqcore.non_ascii_byte(raw)
+            if problem is not None:
+                raise UsageError(f"{path}:{lineno}: {problem}")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -85,7 +107,7 @@ def load_config(path: str) -> dict[str, str]:
             key, _, value = line.partition("=")
             key = key.strip()
             dest = key.replace("-", "_")
-            if dest not in _CONVERTERS:
+            if dest not in OPTIONS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             values[dest] = value.strip()
     return values
@@ -93,14 +115,14 @@ def load_config(path: str) -> dict[str, str]:
 
 def _resolve(args, defaults: dict):
     """Fill unset options from the config file, then from defaults."""
-    config = load_config(args.config) if getattr(args, "config", None) else {}
+    config = load_config(args.config) if args.config else {}
     for dest, fallback in defaults.items():
-        if getattr(args, dest, None) is not None:
+        if getattr(args, dest) is not None:
             continue
         if dest in config:
             try:
-                setattr(args, dest, _CONVERTERS[dest](config[dest]))
-            except (ValueError, ZeroDivisionError):
+                setattr(args, dest, OPTIONS[dest][1](config[dest]))
+            except (ValueError, argparse.ArgumentTypeError):
                 raise UsageError(
                     f"config value {config[dest]!r} is invalid for {dest}"
                 ) from None
@@ -121,9 +143,23 @@ def _energy_params(args) -> folding.EnergyParams:
     return folding.EnergyParams(at=args.at_energy, gc=args.gc_energy)
 
 
-def _check_format(fmt: str, allowed: tuple[str, ...]):
-    if fmt not in allowed:
-        raise UsageError(f"format {fmt!r} not supported here (choose from {', '.join(allowed)})")
+def _count_table(out, header: str, rows, oracle: bool) -> int:
+    """Write a count table, with a brute-force column when oracle is set.
+
+    rows yields (label, count, n, predicate): count should equal the number
+    of words of length n that satisfy predicate.
+    """
+    out.write(header + ("\toracle\tmatch\n" if oracle else "\n"))
+    mismatch = False
+    for label, count, n, predicate in rows:
+        if oracle:
+            expected = enumeration.count_brute_force(n, predicate)
+            ok = count == expected
+            mismatch = mismatch or not ok
+            out.write(f"{label}\t{count}\t{expected}\t{'ok' if ok else 'MISMATCH'}\n")
+        else:
+            out.write(f"{label}\t{count}\n")
+    return EXIT_VERIFY if mismatch else EXIT_OK
 
 
 # ---------------------------------------------------------------- fold
@@ -137,18 +173,6 @@ def _fold_blocks(sequences, params):
 
 
 def cmd_fold(args) -> int:
-    _resolve(
-        args,
-        {
-            "input": None,
-            "output": None,
-            "format": "text",
-            "threshold": folding.DEFAULT_STRUCTURE_THRESHOLD,
-            "at_energy": -1,
-            "gc_energy": -2,
-        },
-    )
-    _check_format(args.format, ("text", "csv", "json"))
     if args.input is None:
         raise UsageError("fold requires --input")
     params = _energy_params(args)
@@ -166,10 +190,7 @@ def cmd_fold(args) -> int:
                     "threshold": args.threshold,
                     "pairs": [list(p) for p in structure.sorted_pairs()],
                     "dot_bracket": folding.dot_bracket(structure, table.n),
-                    "table": [
-                        [table.value(i, j) if j >= i - 1 else "*" for j in range(1, table.n + 1)]
-                        for i in range(1, table.n + 1)
-                    ],
+                    "table": table.cells(),
                 }
                 text = json.dumps(record, indent=2).replace("\n", "\n  ")
                 out.write(("," if count else "") + "\n  " + text)
@@ -236,23 +257,6 @@ def _screen_reason(q, args, params, model) -> str | None:
 
 
 def cmd_screen(args) -> int:
-    _resolve(
-        args,
-        {
-            "input": None,
-            "output": None,
-            "log": None,
-            "s": None,
-            "max_mu": None,
-            "w": None,
-            "gc_min": None,
-            "gc_max": None,
-            "threshold": None,
-            "approx_threshold": None,
-            "at_energy": -1,
-            "gc_energy": -2,
-        },
-    )
     if args.input is None:
         raise UsageError("screen requires --input")
     params = _energy_params(args)
@@ -277,35 +281,21 @@ def cmd_screen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    _resolve(args, {"s": 1, "n": 10, "oracle": False, "output": None})
     if args.s < 1:
         raise UsageError("-s must be >= 1")
     if args.n < 1:
         raise UsageError("-n must be >= 1")
     table = enumeration.g_series(args.s, args.n)
-    mismatch = False
+    predicate = enumeration.mu_zero_predicate(args.s)
+    rows = ((n, table.value(n), n, predicate) for n in range(1, args.n + 1))
     with _open_out(args.output) as out:
-        if args.oracle:
-            out.write("n\tg_s(n)\toracle\tmatch\n")
-            predicate = enumeration.mu_zero_predicate(args.s)
-            for n in range(1, args.n + 1):
-                count = table.value(n)
-                oracle = enumeration.count_brute_force(n, predicate)
-                ok = count == oracle
-                mismatch = mismatch or not ok
-                out.write(f"{n}\t{count}\t{oracle}\t{'ok' if ok else 'MISMATCH'}\n")
-        else:
-            out.write("n\tg_s(n)\n")
-            for n in range(1, args.n + 1):
-                out.write(f"{n}\t{table.value(n)}\n")
-    return EXIT_VERIFY if mismatch else EXIT_OK
+        return _count_table(out, "n\tg_s(n)", rows, args.oracle)
 
 
 # ---------------------------------------------------------------- gf
 
 
 def cmd_gf(args) -> int:
-    _resolve(args, {"s": 2, "tol": 1e-12, "output": None})
     analysis = enumeration.dominant_root(args.s, args.tol)
     with _open_out(args.output) as out:
         out.write(f"s: {analysis.s}\n")
@@ -319,66 +309,39 @@ def cmd_gf(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _resolve(args, {"mu1": False, "gc": False, "n": 8, "w": None, "oracle": False, "output": None})
     if args.mu1 == args.gc:
         raise UsageError("count requires exactly one of --mu1 or --gc")
     if args.n < 1:
         raise UsageError("-n must be >= 1")
-    mismatch = False
+    if args.mu1:
+        header = "m\tcount"
+        rows = (
+            (m, enumeration.count_mu1(args.n, m), args.n, enumeration.mu1_equals_predicate(m))
+            for m in range(args.n)
+        )
+    else:
+        series = enumeration.gj_coefficients(args.n)
+        mu1_zero = enumeration.mu_zero_predicate(1)
+        header = "n\tw\tcount"
+        rows = (
+            (
+                f"{n}\t{w}",
+                series.coefficient(n, w),
+                n,
+                lambda word, w=w: mu1_zero(word) and word.count("G") + word.count("C") == w,
+            )
+            for n in range(1, args.n + 1)
+            for w in range(n + 1)
+            if args.w is None or w == args.w
+        )
     with _open_out(args.output) as out:
-        if args.mu1:
-            header = "m\tcount"
-            out.write(header + ("\toracle\tmatch\n" if args.oracle else "\n"))
-            for m in range(args.n):
-                count = enumeration.count_mu1(args.n, m)
-                if args.oracle:
-                    oracle = enumeration.count_brute_force(
-                        args.n, enumeration.mu1_equals_predicate(m)
-                    )
-                    ok = count == oracle
-                    mismatch = mismatch or not ok
-                    out.write(f"{m}\t{count}\t{oracle}\t{'ok' if ok else 'MISMATCH'}\n")
-                else:
-                    out.write(f"{m}\t{count}\n")
-        else:
-            series = enumeration.gj_coefficients(args.n)
-            mu1_zero = enumeration.mu_zero_predicate(1)
-            header = "n\tw\tcount"
-            out.write(header + ("\toracle\tmatch\n" if args.oracle else "\n"))
-            for n in range(1, args.n + 1):
-                for w in range(n + 1):
-                    if args.w is not None and w != args.w:
-                        continue
-                    count = series.coefficient(n, w)
-                    if args.oracle:
-                        oracle = enumeration.count_brute_force(
-                            n,
-                            lambda word, w=w: mu1_zero(word)
-                            and word.count("G") + word.count("C") == w,
-                        )
-                        ok = count == oracle
-                        mismatch = mismatch or not ok
-                        out.write(f"{n}\t{w}\t{count}\t{oracle}\t{'ok' if ok else 'MISMATCH'}\n")
-                    else:
-                        out.write(f"{n}\t{w}\t{count}\n")
-    return EXIT_VERIFY if mismatch else EXIT_OK
+        return _count_table(out, header, rows, args.oracle)
 
 
 # ---------------------------------------------------------------- construct
 
 
 def cmd_construct(args) -> int:
-    _resolve(
-        args,
-        {
-            "m": None,
-            "output": None,
-            "generator": None,
-            "threshold": folding.DEFAULT_STRUCTURE_THRESHOLD,
-            "at_energy": -1,
-            "gc_energy": -2,
-        },
-    )
     if args.m is None:
         raise UsageError("construct requires -m")
     if args.output is None:
@@ -400,7 +363,7 @@ def cmd_construct(args) -> int:
 
 
 def _load_sidecar(path: str) -> dict:
-    """The JSON object in a metadata sidecar."""
+    """The JSON object in a metadata sidecar, with its m and generator checked."""
     with open(path, "r", encoding="ascii") as handle:
         try:
             declared = json.load(handle)
@@ -410,27 +373,23 @@ def _load_sidecar(path: str) -> dict:
             raise DataError(f"{path}: not an ASCII file") from None
     if not isinstance(declared, dict):
         raise DataError(f"{path}: expected a JSON object at the top level")
+    # null is what code_metadata writes for a code without them
+    m, generator = declared.get("m"), declared.get("generator")
+    if m is not None and (type(m) is not int or m < 2):
+        raise DataError(f"{path}: m must be an integer >= 2, got {m!r}")
+    if generator is not None and not isinstance(generator, str):
+        raise DataError(f"{path}: generator must be a string, got {generator!r}")
     return declared
 
 
 def cmd_verify(args) -> int:
-    _resolve(
-        args,
-        {
-            "input": None,
-            "meta": None,
-            "m": None,
-            "threshold": folding.DEFAULT_STRUCTURE_THRESHOLD,
-            "at_energy": -1,
-            "gc_energy": -2,
-            "output": None,
-        },
-    )
     if args.input is None:
         raise UsageError("verify requires --input")
+    if args.m is not None and args.m < 2:
+        raise UsageError("-m must be >= 2")
     sequences = seqcore.read_sequence_file(args.input)
     if not sequences:
-        raise SequenceParseError("no sequences to verify", path=args.input, line=0)
+        raise DataError(f"{args.input}: no sequences to verify")
     try:
         declared = _load_sidecar(args.meta or args.input + ".meta.json")
     except FileNotFoundError:
@@ -470,112 +429,107 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+_IO = {"input": None, "output": None}
+_ENERGY = {
+    "at_energy": folding.DEFAULT_ENERGY_PARAMS.at,
+    "gc_energy": folding.DEFAULT_ENERGY_PARAMS.gc,
+}
+_STRUCTURE = {"threshold": folding.DEFAULT_STRUCTURE_THRESHOLD, **_ENERGY}
+
+# name -> (handler, help, {dest: built-in default}); the dests are the
+# options the command takes, and --config comes with every command
+COMMANDS = {
+    "fold": (
+        cmd_fold,
+        "energy table and structure per sequence",
+        {**_IO, "format": "text", **_STRUCTURE},
+    ),
+    "screen": (
+        cmd_screen,
+        "filter sequences by shift/GC/energy constraints",
+        {
+            **_IO,
+            "log": None,
+            "s": None,
+            "max_mu": None,
+            "w": None,
+            "gc_min": None,
+            "gc_max": None,
+            "threshold": None,
+            "approx_threshold": None,
+            **_ENERGY,
+        },
+    ),
+    "enumerate": (
+        cmd_enumerate,
+        "table of shift-constrained word counts",
+        {**_IO, "s": 1, "n": 10, "oracle": False},
+    ),
+    "gf": (
+        cmd_gf,
+        "dominant growth root of the count recursion",
+        {**_IO, "s": 2, "tol": 1e-12},
+    ),
+    "count": (
+        cmd_count,
+        "exact counts by shift-1 matches or GC-content",
+        {**_IO, "mu1": False, "gc": False, "n": 8, "w": None, "oracle": False},
+    ),
+    "construct": (
+        cmd_construct,
+        "build a simplex-based DNA code",
+        {**_IO, "m": None, "generator": None, **_STRUCTURE},
+    ),
+    "verify": (
+        cmd_verify,
+        "recompute and check a code file's properties",
+        {**_IO, "meta": None, "m": None, **_STRUCTURE},
+    ),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="oligoforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add_common(p):
+    for name, (_, help_text, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--input", help="input sequence file")
-        p.add_argument("--output", help="output file (default: stdout)")
-
-    p = sub.add_parser("fold", help="energy table and structure per sequence")
-    add_common(p)
-    p.add_argument("--format", choices=["text", "csv", "json"], help="output format (default text)")
-    p.add_argument("--threshold", type=int, help="structure threshold (default -2)")
-    p.add_argument("--at-energy", type=int, dest="at_energy", help="A-T pair energy (default -1)")
-    p.add_argument("--gc-energy", type=int, dest="gc_energy", help="G-C pair energy (default -2)")
-    p.set_defaults(func=cmd_fold)
-
-    p = sub.add_parser("screen", help="filter sequences by shift/GC/energy constraints")
-    add_common(p)
-    p.add_argument("--log", help="rejection log (default: stderr)")
-    p.add_argument("-s", type=int, help="shift depth for the mu constraint (default: all)")
-    p.add_argument("--max-mu", type=int, dest="max_mu", help="largest allowed mu value (default 0)")
-    p.add_argument("-w", type=int, help="required GC-content")
-    p.add_argument("--gc-min", type=int, dest="gc_min")
-    p.add_argument("--gc-max", type=int, dest="gc_max")
-    p.add_argument("--threshold", type=int, help="reject when energy <= threshold")
-    p.add_argument(
-        "--approx-threshold",
-        type=Fraction,
-        dest="approx_threshold",
-        help="reject when the linear score <= this value",
-    )
-    p.add_argument("--at-energy", type=int, dest="at_energy")
-    p.add_argument("--gc-energy", type=int, dest="gc_energy")
-    p.set_defaults(func=cmd_screen)
-
-    p = sub.add_parser("enumerate", help="table of shift-constrained word counts")
-    add_common(p)
-    p.add_argument("-s", type=int, help="shift depth (default 1)")
-    p.add_argument("-n", type=int, help="maximum length (default 10)")
-    p.add_argument("--oracle", action="store_const", const=True, help="add brute-force column")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("gf", help="dominant growth root of the count recursion")
-    add_common(p)
-    p.add_argument("-s", type=int, help="shift depth (default 2)")
-    p.add_argument("--tol", type=float, help="bisection tolerance (default 1e-12)")
-    p.set_defaults(func=cmd_gf)
-
-    p = sub.add_parser("count", help="exact counts by shift-1 matches or GC-content")
-    add_common(p)
-    p.add_argument("--mu1", action="store_const", const=True, help="counts by shift-1 match count")
-    p.add_argument("--gc", action="store_const", const=True, help="mu_1 = 0 counts by GC-content")
-    p.add_argument("-n", type=int, help="word length / maximum length (default 8)")
-    p.add_argument("-w", type=int, help="restrict --gc output to one GC-content")
-    p.add_argument("--oracle", action="store_const", const=True, help="add brute-force column")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("construct", help="build a simplex-based DNA code")
-    add_common(p)
-    p.add_argument("-m", type=int, help="simplex dimension (>= 2)")
-    p.add_argument("--generator", help="generator bit string (default: built-in)")
-    p.add_argument("--threshold", type=int, help="structure threshold for the report")
-    p.add_argument("--at-energy", type=int, dest="at_energy")
-    p.add_argument("--gc-energy", type=int, dest="gc_energy")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="recompute and check a code file's properties")
-    add_common(p)
-    p.add_argument("--meta", help="metadata sidecar (default: <input>.meta.json if present)")
-    p.add_argument("-m", type=int, help="simplex dimension used for the shift bound")
-    p.add_argument("--threshold", type=int, help="structure threshold for the report")
-    p.add_argument("--at-energy", type=int, dest="at_energy")
-    p.add_argument("--gc-energy", type=int, dest="gc_energy")
-    p.set_defaults(func=cmd_verify)
-
+        for dest, default in defaults.items():
+            flags, converter, option_help = OPTIONS[dest]
+            if converter is _parse_bool:
+                kwargs = {"action": "store_const", "const": True}
+            else:
+                kwargs = {"type": converter}
+                if default is not None:
+                    option_help += f" (default: {default})"
+            p.add_argument(*flags, dest=dest, help=option_help, **kwargs)
     return parser
+
+
+# first match wins: SequenceParseError and SimplexCodeError are ValueErrors
+_EXIT_CODES = (
+    ((SequenceParseError, DataError, OSError), EXIT_DATA),
+    (codegen.SimplexCodeError, EXIT_VERIFY),
+    ((UsageError, ValueError), EXIT_USAGE),
+)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
+        if args.command is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
-    except UsageError as exc:
-        print(f"oligoforge: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OracleCapError as exc:
-        print(f"oligoforge: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SequenceParseError, DataError) as exc:
-        print(f"oligoforge: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except codegen.SimplexCodeError as exc:
-        print(f"oligoforge: error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except OSError as exc:
-        print(f"oligoforge: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"oligoforge: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        handler, _, defaults = COMMANDS[args.command]
+        _resolve(args, defaults)
+        return handler(args)
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"oligoforge: error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def run() -> None:

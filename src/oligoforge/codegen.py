@@ -192,6 +192,8 @@ class DnaCode:
     properties: CodeProperties = field(init=False)
 
     def __post_init__(self):
+        if self.m is not None and self.m < 2:
+            raise ValueError(f"simplex dimension must be >= 2, got {self.m}")
         object.__setattr__(self, "properties", code_properties(self.codewords))
 
     @property

@@ -75,6 +75,13 @@ class EnergyTable:
             raise IndexError(f"no entry ({i},{j}) in a table of size {self.n}")
         return self._grid[i][j]
 
+    def cells(self) -> list[list[int | str]]:
+        """The n x n grid: cells()[i-1][j-1] is value(i, j), or '*' below j = i-1."""
+        n, grid = self.n, self._grid
+        return [
+            [grid[i][j] if j >= i - 1 else "*" for j in range(1, n + 1)] for i in range(1, n + 1)
+        ]
+
     @property
     def min_free_energy(self) -> int:
         """E[1][n], the minimum energy over the whole sequence."""
@@ -266,30 +273,22 @@ def linear_energy(
     return total
 
 
-def _render_cell(table: EnergyTable, i: int, j: int) -> str:
-    if j >= i - 1:
-        return str(table.value(i, j))
-    return "*"
-
-
 def format_table_text(q: DnaSequence | str, table: EnergyTable) -> str:
     """Pretty-print a table with base labels and '*' below the boundary."""
     s = _text(q)
-    n = table.n
-    cells = [[_render_cell(table, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    cells = [[str(c) for c in row] for row in table.cells()]
     width = max(max(len(c) for row in cells for c in row), 1)
     header = " " + " ".join(b.rjust(width) for b in s)
     lines = [header]
-    for i in range(1, n + 1):
-        lines.append(s[i - 1] + " ".join(c.rjust(width) for c in cells[i - 1]))
+    for base, row in zip(s, cells):
+        lines.append(base + " ".join(c.rjust(width) for c in row))
     return "\n".join(lines)
 
 
 def format_table_csv(q: DnaSequence | str, table: EnergyTable) -> str:
     """Same layout as the text table, comma-separated."""
     s = _text(q)
-    n = table.n
     lines = ["," + ",".join(s)]
-    for i in range(1, n + 1):
-        lines.append(s[i - 1] + "," + ",".join(_render_cell(table, i, j) for j in range(1, n + 1)))
+    for base, row in zip(s, table.cells()):
+        lines.append(base + "," + ",".join(map(str, row)))
     return "\n".join(lines)

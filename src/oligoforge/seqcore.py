@@ -219,6 +219,14 @@ def wc_distance_via_binary(p: DnaSequence | str, r: DnaSequence | str) -> int:
     return n - ((sigma_e ^ mask) & sigma_o).bit_count()
 
 
+def non_ascii_byte(line: str) -> str | None:
+    """Describe the first non-ASCII byte of a line read with errors="surrogateescape"."""
+    if line.isascii():
+        return None
+    pos, ch = next((p, c) for p, c in enumerate(line, start=1) if not c.isascii())
+    return f"non-ASCII byte 0x{ord(ch) - 0xDC00:02x} at position {pos}"
+
+
 def read_sequence_file(path: str) -> list[DnaSequence]:
     """Read sequences from a text file, one per line.
 
@@ -230,13 +238,9 @@ def read_sequence_file(path: str) -> list[DnaSequence]:
     # undecodable bytes become lone surrogates, reported per line below
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            if not raw.isascii():
-                pos, ch = next((p, c) for p, c in enumerate(raw, start=1) if not c.isascii())
-                raise SequenceParseError(
-                    f"non-ASCII byte 0x{ord(ch) - 0xDC00:02x} at position {pos}",
-                    path=path,
-                    line=lineno,
-                )
+            problem = non_ascii_byte(raw)
+            if problem is not None:
+                raise SequenceParseError(problem, path=path, line=lineno)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

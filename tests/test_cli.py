@@ -1,5 +1,8 @@
 import json
 import math
+from fractions import Fraction
+
+import pytest
 
 from oligoforge import cli, folding
 from oligoforge.codegen import build_dna_code, simplex_code
@@ -191,6 +194,13 @@ class TestScreen:
         assert rc == 0
         assert "approx_energy" in captured.err
 
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        write_lines(path, ["GCGC"])
+        rc = cli.main(["screen", "--input", str(path), "--approx-threshold", "1/0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("oligoforge: error: argument --approx-threshold")
+
 
 class TestEnumerate:
     def test_depth_two_table(self, capsys):
@@ -369,6 +379,40 @@ class TestVerify:
         assert rc == 2
         assert f"{meta_path}: expected a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ['"six"', "1", "true"])
+    def test_sidecar_m_must_be_an_integer_of_at_least_two(self, tmp_path, capsys, m):
+        path = tmp_path / "code.txt"
+        write_lines(path, [w.text for w in build_dna_code(simplex_code(3)).codewords])
+        meta_path = tmp_path / "bad.json"
+        meta_path.write_text(f'{{"m": {m}}}\n')
+        rc = cli.main(["verify", "--input", str(path), "--meta", str(meta_path)])
+        assert rc == 2
+        assert f"{meta_path}: m must be an integer >= 2" in capsys.readouterr().err
+
+    def test_sidecar_generator_must_be_a_string(self, tmp_path, capsys):
+        path = tmp_path / "code.txt"
+        write_lines(path, [w.text for w in build_dna_code(simplex_code(3)).codewords])
+        meta_path = tmp_path / "bad.json"
+        meta_path.write_text('{"m": 3, "generator": 1110100}\n')
+        rc = cli.main(["verify", "--input", str(path), "--meta", str(meta_path)])
+        assert rc == 2
+        assert f"{meta_path}: generator must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["1", "0"])
+    def test_dimension_below_two_is_usage_error(self, tmp_path, capsys, m):
+        path = tmp_path / "weak.txt"
+        write_lines(path, ["GCG", "CGC"])
+        rc = cli.main(["verify", "--input", str(path), "-m", m])
+        assert rc == 1
+        assert "-m must be >= 2" in capsys.readouterr().err
+
+    def test_empty_file_names_no_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing here\n")
+        rc = cli.main(["verify", "--input", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"oligoforge: error: {path}: no sequences to verify\n"
+
     def test_plain_file_without_metadata(self, tmp_path, capsys):
         path = tmp_path / "plain.txt"
         write_lines(path, ["ACGT", "TGCA"])
@@ -442,6 +486,72 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=three\n")
         assert cli.main(["enumerate", "--config", str(cfg)]) == 1
+
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        write_lines(path, ["GCGC"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("approx_threshold=1/0\n")
+        rc = cli.main(["screen", "--input", str(path), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("oligoforge: error: config value '1/0'")
+
+    def test_config_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("config=other.cfg\n")
+        assert cli.main(["enumerate", "--config", str(cfg)]) == 1
+        assert f"{cfg}:1: unknown config key 'config'" in capsys.readouterr().err
+
+    def test_non_ascii_byte_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"s=2\n# caf\xc3\xa9\n")
+        assert cli.main(["enumerate", "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: non-ASCII byte 0xc3 at position 6" in capsys.readouterr().err
+
+    # dest -> (text on the command line or in a config file, converted value);
+    # each value differs from every command's default
+    SAMPLES = {
+        "input": ("in.txt", "in.txt"),
+        "output": ("out.txt", "out.txt"),
+        "log": ("rejects.log", "rejects.log"),
+        "meta": ("code.json", "code.json"),
+        "format": ("csv", "csv"),
+        "s": ("3", 3),
+        "n": ("5", 5),
+        "m": ("4", 4),
+        "w": ("2", 2),
+        "max_mu": ("1", 1),
+        "gc_min": ("1", 1),
+        "gc_max": ("3", 3),
+        "threshold": ("-5", -5),
+        "approx_threshold": ("5/2", Fraction(5, 2)),
+        "at_energy": ("-3", -3),
+        "gc_energy": ("-4", -4),
+        "tol": ("1e-9", 1e-9),
+        "generator": ("1110100", "1110100"),
+        "oracle": ("yes", True),
+        "mu1": ("yes", True),
+        "gc": ("yes", True),
+    }
+
+    @pytest.mark.parametrize(
+        "command,dest",
+        [(name, dest) for name, (_, _, defaults) in cli.COMMANDS.items() for dest in defaults],
+    )
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, command, dest):
+        text, value = self.SAMPLES[dest]
+        flags, converter, _ = cli.OPTIONS[dest]
+        flag_argv = [flags[0]] if converter is cli._parse_bool else [flags[0], text]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}={text}\n")
+        defaults = cli.COMMANDS[command][2]
+        routes = []
+        for argv in ([command, *flag_argv], [command, "--config", str(cfg)]):
+            args = cli.build_parser().parse_args(argv)
+            cli._resolve(args, defaults)
+            routes.append(getattr(args, dest))
+        assert value != defaults[dest]
+        assert routes == [value, value]
 
 
 class TestUsage:

@@ -233,6 +233,11 @@ class TestVerifyCode:
         assert not report.mu_bound_met
         assert not report.passed
 
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_dimension_below_two_rejected(self, m):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            load_dna_code(["GCG", "CGC"], m=m)
+
     def test_m4_scaling(self):
         code = build_dna_code(simplex_code(4))
         report = verify_code(code)
