@@ -55,6 +55,16 @@ def _fraction(value: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {value!r}") from None
 
 
+def _threshold(value: str) -> int:
+    try:
+        threshold = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if threshold > 0:
+        raise argparse.ArgumentTypeError(f"threshold must be <= 0, got {threshold}")
+    return threshold
+
+
 def _fold_format(value: str) -> str:
     if value not in ("text", "csv", "json"):
         raise argparse.ArgumentTypeError(
@@ -78,7 +88,7 @@ OPTIONS = {
     "max_mu": (("--max-mu",), int, "largest allowed mu_i, i <= s (all i without -s; 0 if unset)"),
     "gc_min": (("--gc-min",), int, "smallest allowed GC-content"),
     "gc_max": (("--gc-max",), int, "largest allowed GC-content"),
-    "threshold": (("--threshold",), int, "structure threshold: energy <= it folds"),
+    "threshold": (("--threshold",), _threshold, "structure threshold (<= 0): energy <= it folds"),
     "approx_threshold": (("--approx-threshold",), _fraction, "reject when linear score <= it"),
     "at_energy": (("--at-energy",), int, "A-T pair energy"),
     "gc_energy": (("--gc-energy",), int, "G-C pair energy"),
@@ -346,7 +356,14 @@ def cmd_construct(args) -> int:
         raise UsageError("construct requires -m")
     if args.output is None:
         raise UsageError("construct requires --output")
-    simplex = codegen.simplex_code(args.m, args.generator)
+    generator = args.generator
+    if generator is None:
+        try:
+            generator = codegen.default_generator(args.m)
+        except codegen.SimplexCodeError as exc:
+            # no built-in generator for this m: a usage error, not a failed check
+            raise UsageError(str(exc)) from None
+    simplex = codegen.simplex_code(args.m, generator)
     code = codegen.build_dna_code(simplex)
     report = codegen.verify_code(code, _energy_params(args), args.threshold)
     seqcore.write_sequence_file(args.output, code.codewords)
@@ -397,9 +414,12 @@ def cmd_verify(args) -> int:
             raise
         declared = None
     m = args.m if args.m is not None else (declared or {}).get("m")
-    code = codegen.load_dna_code(
-        sequences, m=m, generator=(declared or {}).get("generator")
-    )
+    try:
+        code = codegen.load_dna_code(
+            sequences, m=m, generator=(declared or {}).get("generator")
+        )
+    except ValueError as exc:  # m is checked above, so the words are at fault
+        raise DataError(f"{args.input}: {exc}") from None
     report = codegen.verify_code(code, _energy_params(args), args.threshold)
     failures = []
     if not report.passed:
@@ -514,10 +534,28 @@ _EXIT_CODES = (
 )
 
 
+def _join_fraction_values(argv: list[str]) -> list[str]:
+    """Join --approx-threshold and a following -5/2 into --approx-threshold=-5/2.
+
+    argparse reads -5 and -2.5 as negative numbers but takes -5/2 for a
+    flag; the joined form is read as the flag's value. Other words pass as they are.
+    """
+    flags = OPTIONS["approx_threshold"][0]
+    joined: list[str] = []
+    for word in argv:
+        if joined and joined[-1] in flags and word[:1] == "-" and word[1:2].isdigit():
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_fraction_values(sys.argv[1:] if argv is None else list(argv))
+        )
         if args.command is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE

@@ -130,7 +130,13 @@ def simplex_code(m: int, generator: str | None = None) -> SimplexCode:
 
 @dataclass(frozen=True)
 class CodeProperties:
-    """Recomputable metadata of a DNA codeword set."""
+    """Recomputable metadata of a DNA codeword set.
+
+    rotation_step is the smallest d such that rotating every word by d
+    maps the codeword multiset onto itself. The rotations that do form the
+    group generated by d; it is 1 for a simplex code, and the word length
+    when only the identity does.
+    """
 
     size: int
     length: int
@@ -138,6 +144,23 @@ class CodeProperties:
     gc_content: int | None  # common value, None when not constant
     gc_values: tuple[int, ...]  # sorted distinct values
     max_shift_match: int
+    rotation_step: int
+
+
+def _rotation_step(texts: list[str], length: int) -> int:
+    """Smallest divisor d of length whose rotation preserves the multiset.
+
+    The rotations preserving it form a subgroup of Z_length, which is
+    dZ_length for the smallest such d. Multiplicity counts: a rotation
+    that maps a repeated word onto a single one does not preserve the code.
+    """
+    counts: dict[str, int] = {}
+    for t in texts:
+        counts[t] = counts.get(t, 0) + 1
+    for d in range(1, length):
+        if length % d == 0 and all(counts.get(t[d:] + t[:d]) == c for t, c in counts.items()):
+            return d
+    return length
 
 
 def code_properties(codewords) -> CodeProperties:
@@ -147,6 +170,13 @@ def code_properties(codewords) -> CodeProperties:
     positions differ exactly where the even or the odd bits differ, so each
     pairwise distance is one popcount, and each shift-match count is one
     popcount too (seqcore.packed_mu).
+
+    Hamming distance does not change when both words rotate alike, so the
+    minimum over all pairs is the minimum over the pairs that hold one
+    representative of each orbit of the rotation group (the first word of
+    each orbit, by index). Representatives are compared with each other
+    once and with every other word; when the group is trivial every word
+    is a representative and this is the plain loop over all pairs.
     """
     words = [DnaSequence(w) for w in codewords]
     if not words:
@@ -154,10 +184,27 @@ def code_properties(codewords) -> CodeProperties:
     length = len(words[0])
     if any(len(w) != length for w in words):
         raise ValueError("codewords must have equal length")
+    texts = [w.text for w in words]
+    step = _rotation_step(texts, length)
     images = [packed_image(w) for w in words]
+    # the first index of each distinct word; later copies are never representatives
+    first: dict[str, int] = {}
+    for idx, t in enumerate(texts):
+        first.setdefault(t, idx)
+    covered = bytearray(len(words))
+    representatives, others = [], []
+    for idx, t in enumerate(texts):
+        if covered[idx] or first[t] != idx:
+            others.append(images[idx])
+            continue
+        representatives.append(images[idx])
+        for k in range(step, length, step):
+            covered[first[t[k:] + t[:k]]] = 1
+    ordered = representatives + others
     min_distance = None
-    for idx, (e1, o1) in enumerate(images):
-        for e2, o2 in images[idx + 1 :]:
+    for idx in range(len(representatives)):
+        e1, o1 = ordered[idx]
+        for e2, o2 in ordered[idx + 1 :]:
             d = ((e1 ^ e2) | (o1 ^ o2)).bit_count()
             if min_distance is None or d < min_distance:
                 min_distance = d
@@ -174,6 +221,7 @@ def code_properties(codewords) -> CodeProperties:
         gc_content=common_gc,
         gc_values=gc_values,
         max_shift_match=max_mu,
+        rotation_step=step,
     )
 
 
@@ -273,7 +321,9 @@ def verify_code(
     it was made. Pass requires: the shift-match bound holds when known, and
     GC-content is constant (and equal to 2^(m-1) when m is known). Folding
     energies are reported for information; the threshold verdict counts how
-    many words fold.
+    many words fold. Each orbit of the code's rotation group is folded by
+    one windowed fill (folding.rotation_energies), in codeword order; when
+    the group is trivial each orbit is one word and that fill is the plain one.
     """
     props = code.properties
     mu_bound = code.mu_bound
@@ -281,13 +331,16 @@ def verify_code(
     expected_gc = 2 ** (code.m - 1) if code.m is not None else None
     gc_constant = props.gc_content is not None
     gc_ok = gc_constant and (expected_gc is None or props.gc_content == expected_gc)
-    energies = {}
-    folded = []
-    for w in code.codewords:
-        e = folding.min_free_energy(w, params)
-        energies[w.text] = e
-        if e <= threshold:
-            folded.append(w.text)
+    energies = dict.fromkeys(w.text for w in code.codewords)
+    step = props.rotation_step
+    orbit = props.length // step
+    for t, e in energies.items():
+        if e is not None:
+            continue
+        # rotations of a codeword are codewords, so these keys exist
+        for k, energy in enumerate(folding.rotation_energies(t, step, orbit, params)):
+            energies[t[k * step :] + t[: k * step]] = energy
+    folded = [w.text for w in code.codewords if energies[w.text] <= threshold]
     return VerificationReport(
         size=props.size,
         length=props.length,

@@ -88,8 +88,8 @@ class EnergyTable:
         return self._grid[1][self.n]
 
 
-def nussinov_table(q: DnaSequence | str, params: EnergyParams | None = None) -> EnergyTable:
-    """Fill the energy table for q.
+def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
+    """Energy grid of s, filled only where j - i < span.
 
     Diagonal and first sub-diagonal start at zero. Each remaining cell
     leaves j unpaired or pairs it with some partner k, i <= k < j:
@@ -101,13 +101,10 @@ def nussinov_table(q: DnaSequence | str, params: EnergyParams | None = None) -> 
     Rows run from i = n-1 down to 1 and j runs upward. The bracketed term
     is fixed once row k+1 is filled, so it joins column j's candidate list
     when row k is reached, and each cell scans only the complementary
-    partners of j (about a quarter of the positions). This is the same
-    table, cell for cell, as the split form that pairs the endpoints or
-    splits at every k: both are the exact minimum over non-crossing
-    structures within i..j. Runs in O(n^3).
+    partners of j (about a quarter of the positions). A cell within the
+    span reads only cells within it, and a candidate is read only by rows
+    i >= j - span + 1, so row k appends partners j < k + span alone.
     """
-    params = params or DEFAULT_ENERGY_PARAMS
-    s = _text(q)
     n = len(s)
     alpha = params._alpha
     # positions j (descending) that pair with base x, and the pair energy
@@ -120,18 +117,54 @@ def nussinov_table(q: DnaSequence | str, params: EnergyParams | None = None) -> 
     for i in range(n - 1, 0, -1):
         row = grid[i]
         below = grid[i + 1]
+        end = i + span  # columns i+1 .. end-1 are filled
+        if end > n:
+            end = n + 1
         for j, a in partners[s[i - 1]]:
             if j <= i:
                 break
-            candidates[j].append((i - 1, below[j - 1] + a))
+            if j < end:
+                candidates[j].append((i - 1, below[j - 1] + a))
         best = 0  # E[i][i]
-        for j in range(i + 1, n + 1):
+        for j in range(i + 1, end):
             for left, c in candidates[j]:
                 c += row[left]
                 if c < best:
                     best = c
             row[j] = best
-    return EnergyTable(n, grid)
+    return grid
+
+
+def nussinov_table(q: DnaSequence | str, params: EnergyParams | None = None) -> EnergyTable:
+    """Fill the energy table for q.
+
+    The fill (see _fill) runs over the full span and gives the same table,
+    cell for cell, as the split form that pairs the endpoints or splits at
+    every k: both are the exact minimum over non-crossing structures within
+    i..j. Runs in O(n^3).
+    """
+    s = _text(q)
+    return EnergyTable(len(s), _fill(s, params or DEFAULT_ENERGY_PARAMS, len(s)))
+
+
+def rotation_energies(
+    q: DnaSequence | str, step: int, count: int, params: EnergyParams | None = None
+) -> list[int]:
+    """Minimum free energies of the rotations of q by 0, step, ..., (count-1)*step.
+
+    Rotation k*step of q is the window of length n starting at k*step in
+    q + q, and a cell depends only on its own substring, so one fill of
+    the arc (q + q)[: n + (count-1)*step] limited to spans below n holds
+    every rotation's energy at E[k*step + 1][k*step + n] (the doubling
+    trick of circular folding with the span limit of windowed folding).
+    With count = 1 the arc is q itself and this is the fill nussinov_table makes.
+    """
+    s = _text(q)
+    n = len(s)
+    if step < 1 or count < 1 or (count - 1) * step >= n:
+        raise ValueError(f"rotations 0, {step}, ... ({count} of them) must stay below {n}")
+    grid = _fill((s + s)[: n + (count - 1) * step], params or DEFAULT_ENERGY_PARAMS, n)
+    return [grid[k * step + 1][k * step + n] for k in range(count)]
 
 
 def min_free_energy(q: DnaSequence | str, params: EnergyParams | None = None) -> int:

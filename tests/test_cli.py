@@ -201,6 +201,31 @@ class TestScreen:
         assert rc == 1
         assert capsys.readouterr().err.startswith("oligoforge: error: argument --approx-threshold")
 
+    @pytest.mark.parametrize("joined", [False, True])
+    @pytest.mark.parametrize("value,kept", [("-5/2", False), ("-15/2", True)])
+    def test_negative_fraction_threshold(self, tmp_path, capsys, joined, value, kept):
+        # GCGC scores -6 - 1/2: three G-C pairs at shift 1 and one at shift 3
+        path = tmp_path / "in.txt"
+        write_lines(path, ["GCGC"])
+        flag = [f"--approx-threshold={value}"] if joined else ["--approx-threshold", value]
+        rc = cli.main(["screen", "--input", str(path), *flag])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == ("GCGC\n" if kept else "")
+        assert captured.err == ("" if kept else "GCGC\trejected\tapprox_energy -13/2\n")
+
+    @pytest.mark.parametrize("command", ["fold", "screen"])
+    def test_positive_threshold_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "in.txt"
+        write_lines(path, ["GCGC"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold=5\n")
+        assert cli.main([command, "--input", str(path), "--threshold", "5"]) == 1
+        assert "threshold must be <= 0, got 5" in capsys.readouterr().err
+        assert cli.main([command, "--input", str(path), "--config", str(cfg)]) == 1
+        assert "config value '5' is invalid for threshold" in capsys.readouterr().err
+        assert cli.main([command, "--input", str(path), "--threshold", "0"]) == 0
+
 
 class TestEnumerate:
     def test_depth_two_table(self, capsys):
@@ -324,6 +349,15 @@ class TestConstruct:
     def test_requires_dimension(self, capsys):
         assert cli.main(["construct", "--output", "x.txt"]) == 1
 
+    def test_dimension_without_default_generator_is_usage_error(self, tmp_path, capsys):
+        for m in ("1", "9"):
+            rc = cli.main(["construct", "-m", m, "--output", str(tmp_path / "x.txt")])
+            assert rc == 1
+            assert f"no default generator for dimension {m}" in capsys.readouterr().err
+        bad = "1" * 256 + "0" * 255
+        rc = cli.main(["construct", "-m", "9", "--generator", bad, "--output", str(tmp_path / "x.txt")])
+        assert rc == 3
+
 
 class TestVerify:
     def test_constructed_code_verifies(self, tmp_path, capsys):
@@ -412,6 +446,14 @@ class TestVerify:
         rc = cli.main(["verify", "--input", str(path)])
         assert rc == 2
         assert capsys.readouterr().err == f"oligoforge: error: {path}: no sequences to verify\n"
+
+    def test_unequal_lengths_are_data_error(self, tmp_path, capsys):
+        path = tmp_path / "mixed.txt"
+        write_lines(path, ["ACGT", "ACG"])
+        rc = cli.main(["verify", "--input", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"oligoforge: error: {path}: codewords must have equal length\n"
 
     def test_plain_file_without_metadata(self, tmp_path, capsys):
         path = tmp_path / "plain.txt"

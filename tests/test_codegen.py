@@ -1,17 +1,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oligoforge.codegen import (
     PRIMITIVE_POLYNOMIALS,
     SimplexCodeError,
     build_dna_code,
+    code_metadata,
     code_properties,
     default_generator,
     load_dna_code,
     simplex_code,
     verify_code,
 )
+from oligoforge.folding import EnergyParams, min_free_energy
 from oligoforge.seqcore import DnaSequence, binary_image, gc_content, mu
 
 import oracles
@@ -180,6 +184,89 @@ class TestCodeProperties:
             for w in code.codewords:
                 for i in range(1, code.properties.length):
                     assert mu(w, i) <= bound
+
+
+def rotate(word, k):
+    return word[k:] + word[:k]
+
+
+def brute_rotation_step(words):
+    n = len(words[0])
+    return min(
+        d
+        for d in range(1, n + 1)
+        if n % d == 0 and sorted(rotate(w, d) for w in words) == sorted(words)
+    )
+
+
+@st.composite
+def rotation_sets(draw):
+    """Words closed under rotation by a divisor of n, in whole or in part."""
+    n = draw(st.sampled_from([4, 6, 8, 9, 10, 12]))
+    step = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    bases = draw(st.lists(st.text(alphabet="ACGT", min_size=n, max_size=n), min_size=1, max_size=4))
+    words = [rotate(w, k) for w in bases for k in range(0, n, step)]
+    dropped = draw(st.sets(st.integers(min_value=0, max_value=len(words) - 1)))
+    words = [w for idx, w in enumerate(words) if idx not in dropped]
+    words += draw(st.lists(st.sampled_from(words), max_size=2)) if words else []
+    words = draw(st.permutations(words))
+    if len(words) < 2:
+        words = words + [draw(st.text(alphabet="ACGT", min_size=n, max_size=n))] * (2 - len(words))
+    return words
+
+
+class TestRotationGroup:
+    @settings(deadline=None, max_examples=300)
+    @given(words=rotation_sets())
+    def test_orbit_distance_matches_pairwise_loop(self, words):
+        props = code_properties(words)
+        assert props.rotation_step == brute_rotation_step(words)
+        assert props.min_hamming_distance == oracles.naive_min_distance(words)
+
+    def test_proper_subgroup(self):
+        # n = 9, closed under rotation by 3 but not by 1
+        words = [rotate(w, k) for w in ("AACGTTGCA", "GGATCCTAG") for k in (0, 3, 6)]
+        props = code_properties(words)
+        assert props.rotation_step == 3
+        assert props.min_hamming_distance == oracles.naive_min_distance(words)
+
+    def test_repeated_word_that_is_not_a_representative(self):
+        # the orbit's first word is unique; a later rotation appears twice
+        word = "AACGTTGC"
+        words = [rotate(word, k) for k in range(8)] + [rotate(word, 3)]
+        props = code_properties(words)
+        assert props.rotation_step == 8
+        assert props.min_hamming_distance == 0
+
+    def test_repeated_orbit(self):
+        word = "AACGTTGC"
+        words = [rotate(word, k) for k in range(8)] * 2
+        props = code_properties(words)
+        assert props.rotation_step == 1
+        assert props.min_hamming_distance == 0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_simplex_codes_are_closed_under_every_rotation(self, m):
+        assert build_dna_code(simplex_code(m)).properties.rotation_step == 1
+
+    def test_generic_code_has_the_trivial_group(self):
+        props = code_properties(["ACGTAC", "TGCATT", "GGACTA"])
+        assert props.rotation_step == 6
+        assert props.min_hamming_distance == oracles.naive_min_distance(
+            ["ACGTAC", "TGCATT", "GGACTA"]
+        )
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("at,gc", [(-1, -2), (-3, 0)])
+    def test_orbit_folding_matches_per_word_folding(self, m, at, gc):
+        code = build_dna_code(simplex_code(m))
+        params = EnergyParams(at, gc)
+        report = verify_code(code, params, -2)
+        energies = {w.text: min_free_energy(w, params) for w in code.codewords}
+        assert list(report.energies.items()) == list(energies.items())
+        assert report.folded == tuple(w for w, e in energies.items() if e <= -2)
+        metadata = code_metadata(code, report)
+        assert list(metadata["energies"].items()) == list(energies.items())
 
 
 class TestShiftMatchValues:

@@ -18,6 +18,7 @@ from oligoforge.folding import (
     linear_energy,
     min_free_energy,
     nussinov_table,
+    rotation_energies,
     traceback,
 )
 from oligoforge.seqcore import COMPLEMENT, mu
@@ -160,6 +161,48 @@ class TestFillAgainstSplitForm:
                 assert table.value(i, j) == grid[i][j], (i, j)
         reference = traceback(EnergyTable(n, grid), word, params)
         assert traceback(table, word, params) == reference
+
+
+def rotate(word, k):
+    return word[k:] + word[:k]
+
+
+class TestRotationEnergies:
+    """One windowed fill of the doubled word against a fold per rotation."""
+
+    @settings(deadline=None)
+    @given(
+        word=st.text(alphabet="ACGT", min_size=1, max_size=40),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+        data=st.data(),
+    )
+    def test_matches_per_word_fill(self, word, at, gc, data):
+        n = len(word)
+        step = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        count = data.draw(st.integers(min_value=1, max_value=n // step))
+        params = EnergyParams(at, gc)
+        expected = [
+            nussinov_table(rotate(word, k * step), params).min_free_energy for k in range(count)
+        ]
+        assert rotation_energies(word, step, count, params) == expected
+
+    @settings(deadline=None)
+    @given(
+        unit=st.text(alphabet="ACGT", min_size=1, max_size=8),
+        repeats=st.integers(min_value=2, max_value=5),
+        at=st.integers(min_value=-3, max_value=0),
+    )
+    def test_periodic_words(self, unit, repeats, at):
+        word = unit * repeats
+        params = EnergyParams(at, -2)
+        expected = [min_free_energy(rotate(word, k), params) for k in range(len(word))]
+        assert rotation_energies(word, 1, len(word), params) == expected
+
+    @pytest.mark.parametrize("step,count", [(0, 2), (1, 0), (2, 4), (3, 3)])
+    def test_rotations_must_stay_below_the_length(self, step, count):
+        with pytest.raises(ValueError, match="must stay below 6"):
+            rotation_energies("GACGTC", step, count)
 
 
 class TestTraceback:
