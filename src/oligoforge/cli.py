@@ -55,14 +55,21 @@ def _fraction(value: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {value!r}") from None
 
 
-def _threshold(value: str) -> int:
-    try:
-        threshold = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if threshold > 0:
-        raise argparse.ArgumentTypeError(f"threshold must be <= 0, got {threshold}")
-    return threshold
+def _bounded_int(name: str, low: int | None = None, high: int | None = None):
+    """Converter for an int option that must lie in [low, high] (None: unbounded)."""
+
+    def convert(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        if low is not None and number < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {number}")
+        if high is not None and number > high:
+            raise argparse.ArgumentTypeError(f"{name} must be <= {high}, got {number}")
+        return number
+
+    return convert
 
 
 def _fold_format(value: str) -> str:
@@ -81,14 +88,14 @@ OPTIONS = {
     "log": (("--log",), str, "rejection log (stderr when unset)"),
     "meta": (("--meta",), str, "metadata sidecar (<input>.meta.json if present when unset)"),
     "format": (("--format",), _fold_format, "output format: text, csv or json"),
-    "s": (("-s",), int, "shift depth"),
-    "n": (("-n",), int, "word length, or the largest length of a table"),
+    "s": (("-s",), _bounded_int("shift depth", low=1), "shift depth (>= 1)"),
+    "n": (("-n",), _bounded_int("word length", low=1), "word length, or the largest length of a table (>= 1)"),
     "m": (("-m",), int, "simplex dimension (>= 2)"),
-    "w": (("-w",), int, "GC-content: the one screen keeps, or the one count --gc prints"),
-    "max_mu": (("--max-mu",), int, "largest allowed mu_i, i <= s (all i without -s; 0 if unset)"),
+    "w": (("-w",), _bounded_int("GC-content", low=0), "GC-content (>= 0): the one screen keeps, or the one count --gc prints"),
+    "max_mu": (("--max-mu",), _bounded_int("mu bound", low=0), "largest allowed mu_i (>= 0), i <= s (all i without -s; 0 if unset)"),
     "gc_min": (("--gc-min",), int, "smallest allowed GC-content"),
     "gc_max": (("--gc-max",), int, "largest allowed GC-content"),
-    "threshold": (("--threshold",), _threshold, "structure threshold (<= 0): energy <= it folds"),
+    "threshold": (("--threshold",), _bounded_int("threshold", high=0), "structure threshold (<= 0): energy <= it folds"),
     "approx_threshold": (("--approx-threshold",), _fraction, "reject when linear score <= it"),
     "at_energy": (("--at-energy",), int, "A-T pair energy"),
     "gc_energy": (("--gc-energy",), int, "G-C pair energy"),
@@ -291,10 +298,6 @@ def cmd_screen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.s < 1:
-        raise UsageError("-s must be >= 1")
-    if args.n < 1:
-        raise UsageError("-n must be >= 1")
     table = enumeration.g_series(args.s, args.n)
     predicate = enumeration.mu_zero_predicate(args.s)
     rows = ((n, table.value(n), n, predicate) for n in range(1, args.n + 1))
@@ -321,8 +324,6 @@ def cmd_gf(args) -> int:
 def cmd_count(args) -> int:
     if args.mu1 == args.gc:
         raise UsageError("count requires exactly one of --mu1 or --gc")
-    if args.n < 1:
-        raise UsageError("-n must be >= 1")
     if args.mu1:
         header = "m\tcount"
         rows = (
@@ -372,7 +373,7 @@ def cmd_construct(args) -> int:
         handle.write("\n")
     sys.stdout.write(f"m: {code.m}\ngenerator: {code.generator}\n")
     sys.stdout.write(report.render_text() + "\n")
-    sys.stdout.write(f"wrote {report.size} codewords to {args.output}\n")
+    sys.stdout.write(f"wrote {report.properties.size} codewords to {args.output}\n")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -425,19 +426,12 @@ def cmd_verify(args) -> int:
     if not report.passed:
         if not report.mu_bound_met:
             failures.append(
-                f"max mu {report.max_shift_match} exceeds bound {report.mu_bound}"
+                f"max mu {report.properties.max_shift_match} exceeds bound {report.mu_bound}"
             )
         if not report.gc_as_expected:
-            failures.append(f"GC content check failed: values {list(report.gc_values)}")
+            failures.append(f"GC content check failed: values {list(report.properties.gc_values)}")
     if declared is not None:
-        recomputed = {
-            "size": report.size,
-            "length": report.length,
-            "min_hamming_distance": report.min_hamming_distance,
-            "gc_content": code.properties.gc_content,
-            "max_mu": report.max_shift_match,
-        }
-        for key, value in recomputed.items():
+        for key, value in report.properties.facts().items():
             if key in declared and declared[key] != value:
                 failures.append(f"{key}: declared {declared[key]}, recomputed {value}")
     with _open_out(args.output) as out:
@@ -449,7 +443,8 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-_IO = {"input": None, "output": None}
+_OUT = {"output": None}
+_IO = {"input": None, **_OUT}
 _ENERGY = {
     "at_energy": folding.DEFAULT_ENERGY_PARAMS.at,
     "gc_energy": folding.DEFAULT_ENERGY_PARAMS.gc,
@@ -483,22 +478,22 @@ COMMANDS = {
     "enumerate": (
         cmd_enumerate,
         "table of shift-constrained word counts",
-        {**_IO, "s": 1, "n": 10, "oracle": False},
+        {**_OUT, "s": 1, "n": 10, "oracle": False},
     ),
     "gf": (
         cmd_gf,
         "dominant growth root of the count recursion",
-        {**_IO, "s": 2, "tol": 1e-12},
+        {**_OUT, "s": 2, "tol": 1e-12},
     ),
     "count": (
         cmd_count,
         "exact counts by shift-1 matches or GC-content",
-        {**_IO, "mu1": False, "gc": False, "n": 8, "w": None, "oracle": False},
+        {**_OUT, "mu1": False, "gc": False, "n": 8, "w": None, "oracle": False},
     ),
     "construct": (
         cmd_construct,
         "build a simplex-based DNA code",
-        {**_IO, "m": None, "generator": None, **_STRUCTURE},
+        {**_OUT, "m": None, "generator": None, **_STRUCTURE},
     ),
     "verify": (
         cmd_verify,

@@ -146,6 +146,20 @@ class CodeProperties:
     max_shift_match: int
     rotation_step: int
 
+    @property
+    def gc_constant(self) -> bool:
+        return self.gc_content is not None
+
+    def facts(self) -> dict:
+        """The facts a code's sidecar declares and verify recomputes, in sidecar order."""
+        return {
+            "size": self.size,
+            "length": self.length,
+            "min_hamming_distance": self.min_hamming_distance,
+            "gc_content": self.gc_content,
+            "max_mu": self.max_shift_match,
+        }
+
 
 def _rotation_step(texts: list[str], length: int) -> int:
     """Smallest divisor d of length whose rotation preserves the multiset.
@@ -274,12 +288,7 @@ def load_dna_code(sequences, m: int | None = None, generator: str | None = None)
 class VerificationReport:
     """Recomputed code facts plus pass/fail against the declared bounds."""
 
-    size: int
-    length: int
-    min_hamming_distance: int | None
-    gc_constant: bool
-    gc_values: tuple[int, ...]
-    max_shift_match: int
+    properties: CodeProperties
     mu_bound: int | None
     mu_bound_met: bool
     expected_gc: int | None
@@ -290,12 +299,13 @@ class VerificationReport:
     passed: bool
 
     def render_text(self) -> str:
+        props = self.properties
         lines = [
-            f"codewords: {self.size}",
-            f"length: {self.length}",
-            f"min_hamming_distance: {self.min_hamming_distance}",
-            f"gc_content: {'constant ' + str(self.gc_values[0]) if self.gc_constant else 'NOT CONSTANT ' + str(list(self.gc_values))}",
-            f"max_mu: {self.max_shift_match}"
+            f"codewords: {props.size}",
+            f"length: {props.length}",
+            f"min_hamming_distance: {props.min_hamming_distance}",
+            f"gc_content: {'constant ' + str(props.gc_values[0]) if props.gc_constant else 'NOT CONSTANT ' + str(list(props.gc_values))}",
+            f"max_mu: {props.max_shift_match}"
             + (f" (bound {self.mu_bound})" if self.mu_bound is not None else ""),
         ]
         energies = list(self.energies.values())
@@ -304,7 +314,7 @@ class VerificationReport:
                 f"min_free_energy: min {min(energies)} max {max(energies)}"
             )
         lines.append(
-            f"folded_at_threshold_{self.threshold}: {len(self.folded)} of {self.size}"
+            f"folded_at_threshold_{self.threshold}: {len(self.folded)} of {props.size}"
         )
         lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -329,8 +339,7 @@ def verify_code(
     mu_bound = code.mu_bound
     mu_ok = mu_bound is None or props.max_shift_match <= mu_bound
     expected_gc = 2 ** (code.m - 1) if code.m is not None else None
-    gc_constant = props.gc_content is not None
-    gc_ok = gc_constant and (expected_gc is None or props.gc_content == expected_gc)
+    gc_ok = props.gc_constant and (expected_gc is None or props.gc_content == expected_gc)
     energies = dict.fromkeys(w.text for w in code.codewords)
     step = props.rotation_step
     orbit = props.length // step
@@ -342,12 +351,7 @@ def verify_code(
             energies[t[k * step :] + t[: k * step]] = energy
     folded = [w.text for w in code.codewords if energies[w.text] <= threshold]
     return VerificationReport(
-        size=props.size,
-        length=props.length,
-        min_hamming_distance=props.min_hamming_distance,
-        gc_constant=gc_constant,
-        gc_values=props.gc_values,
-        max_shift_match=props.max_shift_match,
+        properties=props,
         mu_bound=mu_bound,
         mu_bound_met=mu_ok,
         expected_gc=expected_gc,
@@ -364,11 +368,7 @@ def code_metadata(code: DnaCode, report: VerificationReport) -> dict:
     return {
         "m": code.m,
         "generator": code.generator,
-        "size": report.size,
-        "length": report.length,
-        "min_hamming_distance": report.min_hamming_distance,
-        "gc_content": code.properties.gc_content,
-        "max_mu": report.max_shift_match,
+        **report.properties.facts(),
         "mu_bound": report.mu_bound,
         "threshold": report.threshold,
         "energies": report.energies,

@@ -4,8 +4,9 @@ g(s, n) counts length-n words whose first s shifts carry no complementary
 match (mu_1 = ... = mu_s = 0). Three independent routes are provided: an
 exhaustive brute-force oracle, the boundary/step recursion, and a power
 series expansion of the closed-form generating function. A bivariate
-series additionally resolves the mu_1 = 0 count by GC-content. All counts
-are exact arbitrary-precision integers.
+series, expanded by the same series division, additionally resolves the
+mu_1 = 0 count by GC-content. All counts are exact arbitrary-precision
+integers.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ def oracle_cap() -> int:
     return cap
 
 
-def iter_sequences(n: int):
-    """All 4**n words of length n, as strings, in lexicographic order."""
-    for letters in itertools.product("ACGT", repeat=n):
-        yield "".join(letters)
-
-
 def count_brute_force(
     n: int, predicate: Callable[[str], bool], cap: int | None = None
 ) -> int:
@@ -63,7 +58,8 @@ def count_brute_force(
         raise OracleCapError(
             f"brute-force enumeration of 4^{n} words exceeds the cap of {effective_cap}"
         )
-    return sum(1 for word in iter_sequences(n) if predicate(word))
+    words = map("".join, itertools.product("ACGT", repeat=n))
+    return sum(1 for word in words if predicate(word))
 
 
 def mu_zero_predicate(s: int) -> Callable[[str], bool]:
@@ -151,16 +147,28 @@ class CountTable:
         return self.values[n]
 
 
-def _series_div(num: list[int], den: list[int], order: int) -> list[int]:
-    """Coefficients 0..order of num/den as a power series (den[0] == 1)."""
-    if den[0] != 1:
+def _series_div(num: list[list[int]], den: list[list[int]], order: int) -> list[list[int]]:
+    """Coefficients of x^0..x^order of num/den as a power series in x.
+
+    Each coefficient is a polynomial in y, listed by ascending power; the
+    constant case is a list of one-element lists. den[0] must be [1], so
+    c_k = num_k - sum_{d>=1} den_d * c_{k-d} is the linear recurrence whose
+    solution is the series (Stanley, Enumerative Combinatorics I, 4.1).
+    """
+    if den[0] != [1]:
         raise ValueError("denominator must have constant term 1")
-    coeffs = [0] * (order + 1)
+    steps = [(d, p) for d, p in enumerate(den) if d and any(p)]
+    coeffs: list[list[int]] = []
     for k in range(order + 1):
-        acc = num[k] if k < len(num) else 0
-        for d in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[d] * coeffs[k - d]
-        coeffs[k] = acc
+        terms = [(p, coeffs[k - d]) for d, p in steps if d <= k]
+        acc = list(num[k]) if k < len(num) else []
+        acc += [0] * (max((len(p) + len(c) - 1 for p, c in terms), default=0) - len(acc))
+        for p, c in terms:
+            for j, a in enumerate(p):
+                if a:
+                    for w, v in enumerate(c, j):
+                        acc[w] -= a * v
+        coeffs.append(acc)
     return coeffs
 
 
@@ -176,11 +184,11 @@ def g_series(s: int, max_n: int) -> CountTable:
         raise ValueError("shift depth must be >= 1")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    num = [0] + [4] * s
-    den = [1, -2] + [0] * (s - 1)
-    den[s] -= 1
+    num = [[0]] + [[4]] * s
+    den = [[1], [-2]] + [[0]] * (s - 1)
+    den[s] = [den[s][0] - 1]
     coeffs = _series_div(num, den, max_n)
-    return CountTable(s, {n: coeffs[n] for n in range(1, max_n + 1)})
+    return CountTable(s, {n: coeffs[n][0] for n in range(1, max_n + 1)})
 
 
 def count_mu1(n: int, m: int) -> int:
@@ -198,47 +206,38 @@ def count_mu1(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class BivariateSeries:
-    """Truncated series with integer coefficients indexed by (n, w)."""
+    """Truncated series with integer coefficients indexed by (n, w).
+
+    rows[n] lists the coefficients of x^n by ascending power w of y.
+    """
 
     order: int
-    coeffs: dict[tuple[int, int], int]
+    rows: list[list[int]]
 
     def coefficient(self, n: int, w: int) -> int:
         if not 0 <= n <= self.order:
             raise ValueError(f"n={n} outside truncation order {self.order}")
         if w < 0:
             raise ValueError("w must be >= 0")
-        return self.coeffs.get((n, w), 0)
+        row = self.rows[n]
+        return row[w] if w < len(row) else 0
 
 
 def gj_coefficients(max_n: int) -> BivariateSeries:
     """Coefficients counting mu_1 = 0 words by length n and GC-content w.
 
-    Expands 1 / (1 - 2x/(1+x) - 2xy/(1+xy)) exactly: writing
-    u = 2x/(1+x) + 2xy/(1+xy), the x^k slice of u is
-    2*(-1)^(k-1) * (1 + y^k), and the series is the geometric sum of powers
-    of u, accumulated slice by slice.
+    The paper's series is 1 / (1 - 2x/(1+x) - 2xy/(1+xy)). Over the common
+    denominator (1+x)(1+xy) its denominator reads
+    ((1+x)(1+xy) - 2x(1+xy) - 2xy(1+x)) / ((1+x)(1+xy))
+    = (1 - x - xy - 3x^2 y) / ((1+x)(1+xy)),
+    so the series equals (1+x)(1+xy) / (1 - x - xy - 3x^2 y), and one exact
+    series division gives every coefficient.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    # rows[n][w] for 0 <= w <= n
-    rows = [[1]]
-    for n in range(1, max_n + 1):
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            sign = 2 if k % 2 == 1 else -2
-            prev = rows[n - k]
-            for w, c in enumerate(prev):
-                if c:
-                    row[w] += sign * c
-                    row[w + k] += sign * c
-        rows.append(row)
-    coeffs = {}
-    for n, row in enumerate(rows):
-        for w, c in enumerate(row):
-            if c:
-                coeffs[(n, w)] = c
-    return BivariateSeries(max_n, coeffs)
+    # polynomials in y per power of x: (1+x)(1+xy) = 1 + (1+y)x + yx^2
+    rows = _series_div([[1], [1, 1], [0, 1]], [[1], [-1, -1], [0, -3]], max_n)
+    return BivariateSeries(max_n, rows)
 
 
 def psi(s: int, z: float) -> float:
@@ -268,7 +267,7 @@ def dominant_root(s: int, tol: float = 1e-12) -> GrowthAnalysis:
     """
     if s < 2:
         raise ValueError("growth analysis requires shift depth >= 2")
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     a, b = 2.0, 3.0
     while b - a > tol:

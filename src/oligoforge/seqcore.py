@@ -17,6 +17,8 @@ COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
 _EVEN_BITS = str.maketrans("ACGT", "0110")
 _ODD_BITS = str.maketrans("ACGT", "0011")
 _BASE_FROM_BITS = {("0", "0"): "A", ("0", "1"): "T", ("1", "0"): "C", ("1", "1"): "G"}
+# deletes the bases, so a valid uppercase word translates to ""
+_DROP_BASES = str.maketrans("", "", BASES)
 
 
 class SequenceParseError(ValueError):
@@ -46,19 +48,21 @@ class DnaSequence:
     """Immutable word over {A, C, G, T}, length >= 1.
 
     Lowercase input is normalized to uppercase; anything else is rejected.
+    Another DnaSequence is valid already, so its text is taken as it is.
     """
 
     __slots__ = ("text",)
 
     def __init__(self, text: str):
         if isinstance(text, DnaSequence):
-            text = text.text
+            object.__setattr__(self, "text", text.text)
+            return
         normalized = text.upper()
         if not normalized:
             raise SequenceParseError("empty sequence")
-        for pos, ch in enumerate(normalized, start=1):
-            if ch not in COMPLEMENT:
-                raise SequenceParseError(f"invalid base {ch!r} at position {pos}")
+        if normalized.translate(_DROP_BASES):
+            pos, ch = next((p, c) for p, c in enumerate(normalized, start=1) if c not in COMPLEMENT)
+            raise SequenceParseError(f"invalid base {ch!r} at position {pos}")
         object.__setattr__(self, "text", normalized)
 
     def __setattr__(self, name, value):

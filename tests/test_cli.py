@@ -265,6 +265,12 @@ class TestGf:
         assert abs(float(lines["rho"]) - (1 + math.sqrt(2))) < 1e-9
         assert abs(float(lines["residual"])) < 1e-9
 
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        assert cli.main(["gf", "-s", "2", "--tol", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be positive" in captured.err
+
 
 class TestCount:
     def test_mu1_table(self, capsys):
@@ -381,6 +387,31 @@ class TestVerify:
         captured = capsys.readouterr()
         assert rc == 3
         assert "declared 5" in captured.out
+
+    TAMPERED = {
+        "size": 48,
+        "length": 6,
+        "min_hamming_distance": 5,
+        "gc_content": 3,
+        "max_mu": 1,
+    }
+
+    @pytest.mark.parametrize("key", TAMPERED)
+    def test_each_tampered_fact_fails_alone(self, tmp_path, capsys, key):
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "3", "--output", str(out)]) == 0
+        meta_path = tmp_path / "code.txt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        recomputed = meta[key]
+        meta[key] = self.TAMPERED[key]
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        rc = cli.main(["verify", "--input", str(out)])
+        failures = [l for l in capsys.readouterr().out.splitlines() if l.startswith("failure:")]
+        assert rc == 3
+        assert failures == [
+            f"failure: {key}: declared {self.TAMPERED[key]}, recomputed {recomputed}"
+        ]
 
     def test_bound_violation_fails(self, tmp_path, capsys):
         path = tmp_path / "weak.txt"
@@ -594,6 +625,72 @@ class TestConfig:
             routes.append(getattr(args, dest))
         assert value != defaults[dest]
         assert routes == [value, value]
+
+
+class TestOptionRanges:
+    # (command, dest, first value out of range, message); -m is left to the
+    # commands, so that construct -m 1 names the missing generator
+    CASES = [
+        ("enumerate", "s", "0", "shift depth must be >= 1, got 0"),
+        ("screen", "s", "-3", "shift depth must be >= 1, got -3"),
+        ("enumerate", "n", "0", "word length must be >= 1, got 0"),
+        ("count", "n", "-1", "word length must be >= 1, got -1"),
+        ("count", "w", "-1", "GC-content must be >= 0, got -1"),
+        ("screen", "w", "-1", "GC-content must be >= 0, got -1"),
+        ("screen", "max_mu", "-1", "mu bound must be >= 0, got -1"),
+    ]
+
+    def argv(self, tmp_path, command):
+        # the shortest command line on which each command runs
+        path = tmp_path / "in.txt"
+        write_lines(path, ["ACGTAC"])
+        return {
+            "screen": ["screen", "--input", str(path)],
+            "count": ["count", "--gc"],
+        }.get(command, [command])
+
+    @pytest.mark.parametrize("command,dest,value,message", CASES)
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, command, dest, value, message):
+        flag = cli.OPTIONS[dest][0][0]
+        assert cli.main([*self.argv(tmp_path, command), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {message}" in captured.err
+
+    @pytest.mark.parametrize("command,dest,value", [case[:3] for case in CASES])
+    def test_out_of_range_config_value_is_usage_error(self, tmp_path, capsys, command, dest, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}={value}\n")
+        assert cli.main([*self.argv(tmp_path, command), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config value {value!r} is invalid for {dest}" in captured.err
+
+    @pytest.mark.parametrize("command,dest,value", [
+        ("enumerate", "s", "1"), ("enumerate", "n", "1"), ("count", "w", "0"), ("screen", "max_mu", "0"),
+    ])
+    def test_bound_itself_is_accepted(self, tmp_path, capsys, command, dest, value):
+        flag = cli.OPTIONS[dest][0][0]
+        assert cli.main([*self.argv(tmp_path, command), flag, value]) == 0
+
+
+class TestInputFlag:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "-s", "2", "-n", "3"],
+        ["gf", "-s", "2"],
+        ["count", "--gc", "-n", "3"],
+        ["construct", "-m", "2"],
+    ])
+    def test_commands_without_input_reject_the_flag(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--input", "nonexist", "--output", str(tmp_path / "o.txt")]) == 1
+        assert "unrecognized arguments: --input nonexist" in capsys.readouterr().err
+
+    def test_input_config_key_stays_allowed(self, tmp_path, capsys):
+        # one config file can serve fold, screen and verify as well
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("input=nonexist\ns=2\nn=3\n")
+        assert cli.main(["enumerate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["1\t4", "2\t12", "3\t28"]
 
 
 class TestUsage:

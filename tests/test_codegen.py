@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -287,9 +289,9 @@ class TestVerifyCode:
         code = build_dna_code(simplex_code(3, EXAMPLE_GENERATOR))
         report = verify_code(code)
         assert report.passed
-        assert report.min_hamming_distance == 4
-        assert report.gc_constant
-        assert report.max_shift_match == 2
+        assert report.properties.min_hamming_distance == 4
+        assert report.properties.gc_constant
+        assert report.properties.max_shift_match == 2
         assert report.mu_bound == 2
         assert len(report.energies) == 49
         assert all(e <= 0 for e in report.energies.values())
@@ -309,7 +311,7 @@ class TestVerifyCode:
     def test_non_constant_gc_fails(self):
         code = load_dna_code(["ACGT", "AAAA"])
         report = verify_code(code)
-        assert not report.gc_constant
+        assert not report.properties.gc_constant
         assert not report.passed
         assert "NOT CONSTANT" in report.render_text()
 
@@ -328,8 +330,8 @@ class TestVerifyCode:
     def test_m4_scaling(self):
         code = build_dna_code(simplex_code(4))
         report = verify_code(code)
-        assert report.size == 225
-        assert report.max_shift_match <= 4
+        assert report.properties.size == 225
+        assert report.properties.max_shift_match <= 4
         assert report.mu_bound_met
 
 
@@ -341,3 +343,24 @@ class TestDnaCodeType:
     def test_codewords_are_sequences(self):
         code = build_dna_code(simplex_code(2))
         assert all(isinstance(w, DnaSequence) for w in code.codewords)
+
+
+def _load_tracing():
+    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_binders_keep_every_wrapped_name():
+    # the trace mode swaps each WRAPPED function under every binder module's
+    # name; a binding dropped as unused would break it at run time
+    import oligoforge
+
+    for name, binders, _ in _load_tracing().WRAPPED:
+        home, attr = name.split(".")
+        fn = getattr(getattr(oligoforge, home), attr)
+        for binder in binders:
+            assert getattr(getattr(oligoforge, binder), attr) is fn, (name, binder)

@@ -154,6 +154,10 @@ class TestDominantRoot:
         with pytest.raises(ValueError):
             dominant_root(2, tol=0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            dominant_root(2, tol=float("nan"))
+
 
 class TestGrowthCheck:
     def test_depth_one_ratio_is_three(self):
@@ -217,6 +221,15 @@ class TestGjCoefficients:
         series = gj_coefficients(12)
         for n in range(1, 13):
             assert sum(series.coefficient(n, w) for w in range(n + 1)) == g_recursive(1, n)
+
+    def test_rows_sum_and_mirror_to_order_300(self):
+        # complementing every base keeps mu_1 = 0 and swaps GC for AT,
+        # so row n is symmetric under w <-> n - w
+        series = gj_coefficients(300)
+        for n in range(1, 301):
+            row = [series.coefficient(n, w) for w in range(n + 1)]
+            assert sum(row) == g_recursive(1, n), n
+            assert row == row[::-1], n
 
     def test_matches_census(self):
         series = gj_coefficients(7)

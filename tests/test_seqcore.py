@@ -68,6 +68,34 @@ class TestDnaSequence:
         with pytest.raises(SequenceParseError, match="position 3"):
             DnaSequence("GCXT")
 
+    @given(text=st.text(min_size=1, max_size=40))
+    def test_accepts_exactly_words_over_the_bases(self, text):
+        valid = all(ch in "ACGTacgt" for ch in text)
+        try:
+            q = DnaSequence(text)
+        except SequenceParseError:
+            assert not valid
+        else:
+            assert valid and q.text == text.upper()
+
+    # a bad character whose uppercase is one character, so no position moves before it
+    @given(
+        prefix=st.text(alphabet="ACGTacgt"),
+        bad=st.characters().filter(lambda ch: ch not in "ACGTacgt" and len(ch.upper()) == 1),
+        rest=st.text(),
+    )
+    def test_names_first_bad_position(self, prefix, bad, rest):
+        with pytest.raises(SequenceParseError) as excinfo:
+            DnaSequence(prefix + bad + rest)
+        assert str(excinfo.value) == f"invalid base {bad.upper()!r} at position {len(prefix) + 1}"
+
+    @given(word=st.text(alphabet="ACGTacgt", min_size=1, max_size=40))
+    def test_rewrap_keeps_text(self, word):
+        q = DnaSequence(word)
+        again = DnaSequence(q)
+        assert again.text == q.text == word.upper()
+        assert again == q
+
     def test_immutable_hashable(self):
         q = DnaSequence("ACGT")
         with pytest.raises(AttributeError):
