@@ -93,8 +93,8 @@ OPTIONS = {
     "m": (("-m",), int, "simplex dimension (>= 2)"),
     "w": (("-w",), _bounded_int("GC-content", low=0), "GC-content (>= 0): the one screen keeps, or the one count --gc prints"),
     "max_mu": (("--max-mu",), _bounded_int("mu bound", low=0), "largest allowed mu_i (>= 0), i <= s (all i without -s; 0 if unset)"),
-    "gc_min": (("--gc-min",), int, "smallest allowed GC-content"),
-    "gc_max": (("--gc-max",), int, "largest allowed GC-content"),
+    "gc_min": (("--gc-min",), _bounded_int("GC-content", low=0), "smallest allowed GC-content (>= 0)"),
+    "gc_max": (("--gc-max",), _bounded_int("GC-content", low=0), "largest allowed GC-content (>= 0)"),
     "threshold": (("--threshold",), _bounded_int("threshold", high=0), "structure threshold (<= 0): energy <= it folds"),
     "approx_threshold": (("--approx-threshold",), _fraction, "reject when linear score <= it"),
     "at_energy": (("--at-energy",), int, "A-T pair energy"),
@@ -276,6 +276,8 @@ def _screen_reason(q, args, params, model) -> str | None:
 def cmd_screen(args) -> int:
     if args.input is None:
         raise UsageError("screen requires --input")
+    if args.gc_min is not None and args.gc_max is not None and args.gc_min > args.gc_max:
+        raise UsageError(f"--gc-min {args.gc_min} exceeds --gc-max {args.gc_max}")
     params = _energy_params(args)
     model = folding.DEFAULT_LINEAR_MODEL
     sequences = seqcore.read_sequence_file(args.input)
@@ -324,6 +326,8 @@ def cmd_gf(args) -> int:
 def cmd_count(args) -> int:
     if args.mu1 == args.gc:
         raise UsageError("count requires exactly one of --mu1 or --gc")
+    if args.w is not None and (args.mu1 or args.w > args.n):
+        raise UsageError(f"-w is a GC-content of count --gc, from 0 to -n ({args.n}), got {args.w}")
     if args.mu1:
         header = "m\tcount"
         rows = (
@@ -339,7 +343,7 @@ def cmd_count(args) -> int:
                 f"{n}\t{w}",
                 series.coefficient(n, w),
                 n,
-                lambda word, w=w: mu1_zero(word) and word.count("G") + word.count("C") == w,
+                lambda even, odd, n, w=w: even.bit_count() == w and mu1_zero(even, odd, n),
             )
             for n in range(1, args.n + 1)
             for w in range(n + 1)

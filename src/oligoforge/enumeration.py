@@ -11,14 +11,13 @@ integers.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .seqcore import COMPLEMENT
+from .seqcore import packed_mu
 
 DEFAULT_ORACLE_CAP = 12
 ORACLE_CAP_ENV = "OLIGOFORGE_ORACLE_CAP"
@@ -43,9 +42,13 @@ def oracle_cap() -> int:
 
 
 def count_brute_force(
-    n: int, predicate: Callable[[str], bool], cap: int | None = None
+    n: int, predicate: Callable[[int, int, int], bool], cap: int | None = None
 ) -> int:
     """Count length-n words satisfying predicate by full enumeration.
+
+    Every pair of n-bit ints (even, odd) is the packed image
+    (seqcore.packed_image) of exactly one word of length n, so the pairs
+    walk all 4^n words; predicate is called as predicate(even, odd, n).
 
     Refuses to run past the cap (argument, else the environment override,
     else 12) rather than sampling: results from this oracle are exact or
@@ -58,46 +61,44 @@ def count_brute_force(
         raise OracleCapError(
             f"brute-force enumeration of 4^{n} words exceeds the cap of {effective_cap}"
         )
-    words = map("".join, itertools.product("ACGT", repeat=n))
-    return sum(1 for word in words if predicate(word))
+    side = range(1 << n)
+    return sum(1 for even in side for odd in side if predicate(even, odd, n))
 
 
-def mu_zero_predicate(s: int) -> Callable[[str], bool]:
-    """Predicate: no complementary match on any shift 1..min(s, n-1)."""
+def mu_zero_predicate(s: int) -> Callable[[int, int, int], bool]:
+    """Predicate on a packed image: mu_i = 0 for every shift 1..min(s, n-1)."""
     if s < 1:
         raise ValueError("shift depth must be >= 1")
 
-    def predicate(word: str) -> bool:
-        n = len(word)
+    def predicate(even: int, odd: int, n: int) -> bool:
         for i in range(1, min(s, n - 1) + 1):
-            for l in range(n - i):
-                if word[l] == COMPLEMENT[word[l + i]]:
-                    return False
+            if packed_mu(even, odd, n, i):
+                return False
         return True
 
     return predicate
 
 
-def mu1_equals_predicate(m: int) -> Callable[[str], bool]:
-    """Predicate: exactly m complementary matches on shift 1."""
+def mu1_equals_predicate(m: int) -> Callable[[int, int, int], bool]:
+    """Predicate on a packed image: exactly m complementary matches on shift 1."""
     if m < 0:
         raise ValueError("match count must be >= 0")
 
-    def predicate(word: str) -> bool:
-        matches = sum(
-            word[l] == COMPLEMENT[word[l + 1]] for l in range(len(word) - 1)
-        )
-        return matches == m
+    def predicate(even: int, odd: int, n: int) -> bool:
+        return packed_mu(even, odd, n, 1) == m
 
     return predicate
 
 
-def complement_free_predicate() -> Callable[[str], bool]:
-    """Predicate: no two positions anywhere hold complementary bases."""
+def complement_free_predicate() -> Callable[[int, int, int], bool]:
+    """Predicate on a packed image: no two positions hold complementary bases.
 
-    def predicate(word: str) -> bool:
-        seen = set(word)
-        return not any(COMPLEMENT[b] in seen for b in seen)
+    The A/T positions (~even) and the C/G positions (even) each tell their
+    two bases apart by the odd bit alone, so each part's odd bits must agree.
+    """
+
+    def predicate(even: int, odd: int, n: int) -> bool:
+        return all(odd & part in (0, part) for part in (~even & ((1 << n) - 1), even))
 
     return predicate
 
@@ -269,6 +270,8 @@ def dominant_root(s: int, tol: float = 1e-12) -> GrowthAnalysis:
         raise ValueError("growth analysis requires shift depth >= 2")
     if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
+    if tol >= 1:
+        raise ValueError(f"tolerance must be below 1, the width of the bracket (2, 3), got {tol}")
     a, b = 2.0, 3.0
     while b - a > tol:
         mid = (a + b) / 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .seqcore import DnaSequence, _text
+from .seqcore import DnaSequence, _text, packed_image
 
 DEFAULT_STRUCTURE_THRESHOLD = -2
 
@@ -292,17 +292,22 @@ def linear_energy(
     pairing energies alpha(q_i, q_{i+d}). With a single unit weight this is
     the plain adjacent-pair sum; with unit alpha on complementary pairs the
     d-th inner sum is minus the shift-match count mu(q, d).
+
+    alpha is nonzero only on complementary pairs: the set bits of match =
+    ~(E ^ E>>d) & (O ^ O>>d) & mask(n-d), as in seqcore.packed_mu. Both bases
+    of such a pair share their even bit, so the G-C pairs are those in E.
     """
     model = model or DEFAULT_LINEAR_MODEL
     params = params or DEFAULT_ENERGY_PARAMS
-    s = _text(q)
-    n = len(s)
+    even, odd = packed_image(q)
+    n = len(q)
     if model.depth >= n:
         raise ValueError(f"model depth {model.depth} requires length > {model.depth}")
-    alpha = params._alpha
     total = model.kappa
     for d, gamma in enumerate(model.gammas, start=1):
-        total += gamma * sum(alpha[s[i] + s[i + d]] for i in range(n - d))
+        match = ~(even ^ even >> d) & (odd ^ odd >> d) & ((1 << n - d) - 1)
+        gc = (match & even).bit_count()
+        total += gamma * (params.at * (match.bit_count() - gc) + params.gc * gc)
     return total
 
 

@@ -48,22 +48,23 @@ class DnaSequence:
     """Immutable word over {A, C, G, T}, length >= 1.
 
     Lowercase input is normalized to uppercase; anything else is rejected.
-    Another DnaSequence is valid already, so its text is taken as it is.
+    Another DnaSequence is valid and immutable, so it is returned as it is.
     """
 
     __slots__ = ("text",)
 
-    def __init__(self, text: str):
+    def __new__(cls, text: str):
         if isinstance(text, DnaSequence):
-            object.__setattr__(self, "text", text.text)
-            return
+            return text
         normalized = text.upper()
         if not normalized:
             raise SequenceParseError("empty sequence")
         if normalized.translate(_DROP_BASES):
             pos, ch = next((p, c) for p, c in enumerate(normalized, start=1) if c not in COMPLEMENT)
             raise SequenceParseError(f"invalid base {ch!r} at position {pos}")
+        self = super().__new__(cls)
         object.__setattr__(self, "text", normalized)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DnaSequence is immutable")
@@ -91,8 +92,6 @@ class DnaSequence:
 
 def _text(q: DnaSequence | str) -> str:
     """Validated uppercase text of a sequence argument."""
-    if isinstance(q, DnaSequence):
-        return q.text
     return DnaSequence(q).text
 
 
@@ -206,21 +205,18 @@ def decode_binary_image(image: BinaryImage) -> DnaSequence:
 
 
 def wc_distance_via_binary(p: DnaSequence | str, r: DnaSequence | str) -> int:
-    """wc_distance computed through the binary images.
+    """wc_distance computed through the packed binary images.
 
     With sigma_e/sigma_o the XORs of the even/odd parts, the positions where
     p matches the complement of r are exactly those with an even-bit match
     and an odd-bit mismatch, so the distance is
     n - weight(NOT(sigma_e) AND sigma_o).
     """
-    ip, ir = binary_image(p), binary_image(r)
-    n = len(ip.even)
-    if n != len(ir.even):
-        raise ValueError(f"length mismatch: {n} vs {len(ir.even)}")
-    sigma_e = int(ip.even, 2) ^ int(ir.even, 2)
-    sigma_o = int(ip.odd, 2) ^ int(ir.odd, 2)
-    mask = (1 << n) - 1
-    return n - ((sigma_e ^ mask) & sigma_o).bit_count()
+    (ep, op), (er, or_) = packed_image(p), packed_image(r)
+    n = len(p)
+    if n != len(r):
+        raise ValueError(f"length mismatch: {n} vs {len(r)}")
+    return n - (~(ep ^ er) & (op ^ or_) & ((1 << n) - 1)).bit_count()
 
 
 def non_ascii_byte(line: str) -> str | None:

@@ -166,6 +166,18 @@ class TestScreen:
         assert rc == 0
         assert "GC 0" in captured.err
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_empty_gc_range_is_usage_error(self, tmp_path, capsys, route):
+        path = tmp_path / "in.txt"
+        write_lines(path, ["ACGTAC", "GGGCCC"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gc_min=5\ngc_max=2\n")
+        extra = ["--gc-min", "5", "--gc-max", "2"] if route == "flag" else ["--config", str(cfg)]
+        assert cli.main(["screen", "--input", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gc-min 5 exceeds --gc-max 2" in captured.err
+
     def test_mu_rejection_names_shift(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
         write_lines(path, ["ATAT"])
@@ -271,6 +283,13 @@ class TestGf:
         assert captured.out == ""
         assert "tolerance must be positive" in captured.err
 
+    @pytest.mark.parametrize("tol", ["1", "inf"])
+    def test_tolerance_of_bracket_width_is_usage_error(self, capsys, tol):
+        assert cli.main(["gf", "-s", "2", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be below 1" in captured.err
+
 
 class TestCount:
     def test_mu1_table(self, capsys):
@@ -301,6 +320,16 @@ class TestCount:
     def test_requires_exactly_one_mode(self, capsys):
         assert cli.main(["count", "-n", "3"]) == 1
         assert cli.main(["count", "--mu1", "--gc", "-n", "3"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--gc", "-n", "3", "-w", "9"],  # no word of length 3 has GC 9
+        ["--mu1", "-n", "4", "-w", "2"],  # the shift-1 table has no GC column
+    ])
+    def test_w_without_a_gc_row_is_usage_error(self, capsys, argv):
+        assert cli.main(["count", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-w is a GC-content of count --gc" in captured.err
 
 
 class TestConstruct:
@@ -638,6 +667,8 @@ class TestOptionRanges:
         ("count", "w", "-1", "GC-content must be >= 0, got -1"),
         ("screen", "w", "-1", "GC-content must be >= 0, got -1"),
         ("screen", "max_mu", "-1", "mu bound must be >= 0, got -1"),
+        ("screen", "gc_min", "-3", "GC-content must be >= 0, got -3"),
+        ("screen", "gc_max", "-1", "GC-content must be >= 0, got -1"),
     ]
 
     def argv(self, tmp_path, command):
@@ -668,6 +699,7 @@ class TestOptionRanges:
 
     @pytest.mark.parametrize("command,dest,value", [
         ("enumerate", "s", "1"), ("enumerate", "n", "1"), ("count", "w", "0"), ("screen", "max_mu", "0"),
+        ("screen", "gc_min", "0"), ("screen", "gc_max", "0"),
     ])
     def test_bound_itself_is_accepted(self, tmp_path, capsys, command, dest, value):
         flag = cli.OPTIONS[dest][0][0]

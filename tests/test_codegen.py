@@ -44,6 +44,24 @@ class TestSimplexCode:
             shared = sum(x == y == "1" for x, y in zip(a, b))
             assert shared == 2
 
+    @pytest.mark.parametrize("m,generators", [(3, 14), (4, 30)])
+    def test_every_accepted_generator_intersects_in_a_quarter(self, m, generators):
+        # simplex_code checks weight, distinct shifts and XOR closure; the
+        # pairwise intersections of 2^(m-2) follow, over every candidate
+        n, quarter = 2**m - 1, 2 ** (m - 2)
+        accepted = 0
+        for ones in itertools.combinations(range(n), 2 * quarter):
+            try:
+                code = simplex_code(m, "".join("1" if k in ones else "0" for k in range(n)))
+            except SimplexCodeError:
+                continue
+            accepted += 1
+            ints = [int(w, 2) for w in code.codewords]
+            for a, b in itertools.combinations(ints, 2):
+                assert (a & b).bit_count() == quarter
+        # the rotations of the m-sequences of the two primitive polynomials
+        assert accepted == generators
+
     def test_smallest_dimension(self):
         code = simplex_code(2, "110")
         assert set(code.codewords) == {"110", "011", "101"}

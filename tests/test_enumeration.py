@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oligoforge.enumeration import (
     DEFAULT_ORACLE_CAP,
@@ -20,6 +22,7 @@ from oligoforge.enumeration import (
     oracle_cap,
     psi,
 )
+from oligoforge.seqcore import packed_image, sequence_from_even_odd
 
 import oracles
 
@@ -55,6 +58,40 @@ class TestBruteForce:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             count_brute_force(0, mu_zero_predicate(1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_walks_every_word_once(self, n):
+        seen = []
+
+        def record(even, odd, length):
+            seen.append(sequence_from_even_odd(f"{even:0{length}b}", f"{odd:0{length}b}").text)
+            return True
+
+        assert count_brute_force(n, record) == 4**n
+        assert sorted(seen) == sorted(oracles.all_words(n))
+
+
+WORDS = st.text(alphabet="ACGT", min_size=1, max_size=12)
+
+
+class TestPackedPredicates:
+    """Each predicate on the packed image against a walk over the word's bases."""
+
+    @given(word=WORDS, s=st.integers(min_value=1, max_value=12))
+    def test_mu_zero(self, word, s):
+        n = len(word)
+        expected = all(oracles.direct_mu(word, i) == 0 for i in range(1, min(s, n - 1) + 1))
+        assert mu_zero_predicate(s)(*packed_image(word), n) == expected
+
+    @given(word=WORDS, m=st.integers(min_value=0, max_value=12))
+    def test_mu1_equals(self, word, m):
+        expected = oracles.direct_mu(word, 1) == m
+        assert mu1_equals_predicate(m)(*packed_image(word), len(word)) == expected
+
+    @given(word=WORDS)
+    def test_complement_free(self, word):
+        expected = not any(oracles.COMPLEMENT[b] in word for b in word)
+        assert complement_free_predicate()(*packed_image(word), len(word)) == expected
 
 
 class TestBoundaryCount:
@@ -157,6 +194,12 @@ class TestDominantRoot:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             dominant_root(2, tol=float("nan"))
+
+    @pytest.mark.parametrize("tol", [1, 2.5, float("inf")])
+    def test_tolerance_of_bracket_width_rejected(self, tol):
+        # the bracket (2, 3) is 1 wide: such a tolerance stops before the first step
+        with pytest.raises(ValueError, match="tolerance must be below 1"):
+            dominant_root(2, tol=tol)
 
 
 class TestGrowthCheck:

@@ -319,6 +319,25 @@ class TestLinearEnergy:
         model = LinearEnergyModel(kappa=Fraction(3, 2), gammas=(1,))
         assert linear_energy("GC", model) == Fraction(-1, 2)
 
+    @given(
+        word=st.text(alphabet="ACGT", min_size=2, max_size=40),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+        kappa=st.fractions(min_value=-8, max_value=8, max_denominator=8),
+        data=st.data(),
+    )
+    def test_matches_per_pair_sum(self, word, at, gc, kappa, data):
+        n = len(word)
+        weights = st.fractions(min_value=Fraction(1, 16), max_value=4, max_denominator=16)
+        depth = data.draw(st.integers(min_value=1, max_value=n - 1))
+        gammas = sorted(data.draw(st.lists(weights, min_size=depth, max_size=depth)), reverse=True)
+        expected = kappa + sum(
+            gamma * sum(oracles.pair_energy(word[i], word[i + d], at, gc) for i in range(n - d))
+            for d, gamma in enumerate(gammas, start=1)
+        )
+        model = LinearEnergyModel(kappa, gammas)
+        assert linear_energy(word, model, EnergyParams(at, gc)) == expected
+
 
 class TestTableRendering:
     def parse_text(self, rendered):

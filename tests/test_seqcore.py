@@ -96,6 +96,11 @@ class TestDnaSequence:
         assert again.text == q.text == word.upper()
         assert again == q
 
+    def test_rewrap_returns_the_same_object(self):
+        # one object per word, however often a caller wraps it again
+        q = DnaSequence("acgt")
+        assert DnaSequence(q) is q
+
     def test_immutable_hashable(self):
         q = DnaSequence("ACGT")
         with pytest.raises(AttributeError):
@@ -290,6 +295,10 @@ class TestWcDistanceViaBinary:
         for _ in range(50):
             word = random_word(rng, rng.randint(1, 32))
             assert wc_distance_via_binary(word, complement_sequence(word)) == 0
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
+            wc_distance_via_binary("ACG", "AC")
 
     def test_shift_constraint_check(self):
         # mu(q, i) = 0 exactly when the binary route reports full distance
