@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -97,8 +98,8 @@ OPTIONS = {
     "gc_max": (("--gc-max",), _bounded_int("GC-content", low=0), "largest allowed GC-content (>= 0)"),
     "threshold": (("--threshold",), _bounded_int("threshold", high=0), "structure threshold (<= 0): energy <= it folds"),
     "approx_threshold": (("--approx-threshold",), _fraction, "reject when linear score <= it"),
-    "at_energy": (("--at-energy",), int, "A-T pair energy"),
-    "gc_energy": (("--gc-energy",), int, "G-C pair energy"),
+    "at_energy": (("--at-energy",), _bounded_int("pair energy", high=0), "A-T pair energy (<= 0)"),
+    "gc_energy": (("--gc-energy",), _bounded_int("pair energy", high=0), "G-C pair energy (<= 0)"),
     "tol": (("--tol",), float, "bisection tolerance"),
     "generator": (("--generator",), str, "generator bit string (built-in when unset)"),
     "oracle": (("--oracle",), _parse_bool, "add brute-force column"),
@@ -237,37 +238,22 @@ def cmd_fold(args) -> int:
 # ---------------------------------------------------------------- screen
 
 
-def _screen_reason(q, args, params, model) -> str | None:
-    gc = seqcore.gc_content(q)
-    if args.w is not None and gc != args.w:
+def _screen_reason(q, gc_low, gc_high, depth, bound, args, params) -> str | None:
+    n = len(q)
+    even, odd = seqcore.packed_image(q)
+    gc = even.bit_count()
+    if not gc_low <= gc <= gc_high:
         return f"GC {gc}"
-    if args.gc_min is not None and gc < args.gc_min:
-        return f"GC {gc}"
-    if args.gc_max is not None and gc > args.gc_max:
-        return f"GC {gc}"
-    if args.max_mu is not None or args.s is not None:
-        bound = args.max_mu if args.max_mu is not None else 0
-        depth = args.s if args.s is not None else len(q) - 1
-        depth = min(depth, len(q) - 1)
-        even, odd = seqcore.packed_image(q)
-        for i in range(1, depth + 1):
-            v = seqcore.packed_mu(even, odd, len(q), i)
-            if v > bound:
-                return f"mu_{i} {v}"
+    for i in range(1, min(depth + 1, n)):
+        v = seqcore.packed_mu(even, odd, n, i)
+        if v > bound:
+            return f"mu_{i} {v}"
     if args.threshold is not None:
         energy = folding.min_free_energy(q, params)
         if energy <= args.threshold:
             return f"energy {energy}"
     if args.approx_threshold is not None:
-        # clamp the model depth to the diagonals the sequence actually has
-        usable = min(model.depth, len(q) - 1)
-        if usable == 0:
-            score = model.kappa
-        elif usable < model.depth:
-            clamped = folding.LinearEnergyModel(model.kappa, model.gammas[:usable])
-            score = folding.linear_energy(q, clamped, params)
-        else:
-            score = folding.linear_energy(q, model, params)
+        score = folding.packed_linear_energy(even, odd, n, folding.DEFAULT_LINEAR_MODEL, params)
         if score <= args.approx_threshold:
             return f"approx_energy {score}"
     return None
@@ -276,16 +262,22 @@ def _screen_reason(q, args, params, model) -> str | None:
 def cmd_screen(args) -> int:
     if args.input is None:
         raise UsageError("screen requires --input")
-    if args.gc_min is not None and args.gc_max is not None and args.gc_min > args.gc_max:
-        raise UsageError(f"--gc-min {args.gc_min} exceeds --gc-max {args.gc_max}")
+    # one GC range, -w being [w, w]; an empty one would reject every word
+    lows = [(v, flag) for v, flag in ((args.gc_min, "--gc-min"), (args.w, "-w")) if v is not None]
+    highs = [(v, flag) for v, flag in ((args.w, "-w"), (args.gc_max, "--gc-max")) if v is not None]
+    (low, low_flag), (high, high_flag) = max(lows, default=(0, "")), min(highs, default=(math.inf, ""))
+    if low > high:
+        raise UsageError(f"{low_flag} {low} exceeds {high_flag} {high}")
+    # -s alone bounds mu_1..mu_s by 0; --max-mu alone bounds every mu_i
+    depth = 0 if args.s is None and args.max_mu is None else args.s or math.inf
+    bound = args.max_mu or 0
     params = _energy_params(args)
-    model = folding.DEFAULT_LINEAR_MODEL
     sequences = seqcore.read_sequence_file(args.input)
     log_handle = open(args.log, "w", encoding="ascii") if args.log else sys.stderr
     try:
         with _open_out(args.output) as out:
             for q in sequences:
-                reason = _screen_reason(q, args, params, model)
+                reason = _screen_reason(q, low, high, depth, bound, args, params)
                 if reason is None:
                     out.write(q.text + "\n")
                 else:

@@ -281,6 +281,27 @@ DEFAULT_LINEAR_MODEL = LinearEnergyModel(
 )
 
 
+def packed_linear_energy(
+    even: int, odd: int, n: int, model: LinearEnergyModel, params: EnergyParams
+) -> Fraction:
+    """Linear score of the word with packed image (even, odd) and length n.
+
+    Returns kappa + sum over the shift distances d < n that the model has of
+    gamma_d times the summed pairing energies alpha(q_i, q_{i+d}); a word
+    shorter than the model reads only the diagonals it has.
+
+    alpha is nonzero only on complementary pairs: the set bits of match =
+    ~(E ^ E>>d) & (O ^ O>>d) & mask(n-d), as in seqcore.packed_mu. Both bases
+    of such a pair share their even bit, so the G-C pairs are those in E.
+    """
+    total = model.kappa
+    for d, gamma in zip(range(1, n), model.gammas):
+        match = ~(even ^ even >> d) & (odd ^ odd >> d) & ((1 << n - d) - 1)
+        gc = (match & even).bit_count()
+        total += gamma * (params.at * (match.bit_count() - gc) + params.gc * gc)
+    return total
+
+
 def linear_energy(
     q: DnaSequence | str,
     model: LinearEnergyModel | None = None,
@@ -289,26 +310,16 @@ def linear_energy(
     """Approximate folding score from the first model.depth shift diagonals.
 
     Returns kappa + sum over shift distances d of gamma_d times the summed
-    pairing energies alpha(q_i, q_{i+d}). With a single unit weight this is
-    the plain adjacent-pair sum; with unit alpha on complementary pairs the
-    d-th inner sum is minus the shift-match count mu(q, d).
-
-    alpha is nonzero only on complementary pairs: the set bits of match =
-    ~(E ^ E>>d) & (O ^ O>>d) & mask(n-d), as in seqcore.packed_mu. Both bases
-    of such a pair share their even bit, so the G-C pairs are those in E.
+    pairing energies alpha(q_i, q_{i+d}) (see packed_linear_energy). With a
+    single unit weight this is the plain adjacent-pair sum; with unit alpha
+    on complementary pairs the d-th inner sum is minus the shift-match count
+    mu(q, d). The model must be shallower than q is long.
     """
     model = model or DEFAULT_LINEAR_MODEL
-    params = params or DEFAULT_ENERGY_PARAMS
-    even, odd = packed_image(q)
     n = len(q)
     if model.depth >= n:
         raise ValueError(f"model depth {model.depth} requires length > {model.depth}")
-    total = model.kappa
-    for d, gamma in enumerate(model.gammas, start=1):
-        match = ~(even ^ even >> d) & (odd ^ odd >> d) & ((1 << n - d) - 1)
-        gc = (match & even).bit_count()
-        total += gamma * (params.at * (match.bit_count() - gc) + params.gc * gc)
-    return total
+    return packed_linear_energy(*packed_image(q), n, model, params or DEFAULT_ENERGY_PARAMS)
 
 
 def format_table_text(q: DnaSequence | str, table: EnergyTable) -> str:

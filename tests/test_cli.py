@@ -1,11 +1,16 @@
 import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oligoforge import cli, folding
 from oligoforge.codegen import build_dna_code, simplex_code
+from oligoforge.seqcore import gc_content, mu
 
 from fixtures import TABLE_1, TABLE_2, TABLE_SEQ_1, TABLE_SEQ_2
 
@@ -178,6 +183,25 @@ class TestScreen:
         assert captured.out == ""
         assert "--gc-min 5 exceeds --gc-max 2" in captured.err
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("limits,message", [
+        ({"w": 3, "gc_min": 5}, "--gc-min 5 exceeds -w 3"),
+        ({"w": 9, "gc_max": 5}, "-w 9 exceeds --gc-max 5"),
+    ])
+    def test_w_outside_gc_range_is_usage_error(self, tmp_path, capsys, route, limits, message):
+        path = tmp_path / "in.txt"
+        write_lines(path, ["ACGTAC", "GGGCCC"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{dest}={value}\n" for dest, value in limits.items()))
+        if route == "flag":
+            extra = [a for dest, value in limits.items() for a in (cli.OPTIONS[dest][0][0], str(value))]
+        else:
+            extra = ["--config", str(cfg)]
+        assert cli.main(["screen", "--input", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_mu_rejection_names_shift(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
         write_lines(path, ["ATAT"])
@@ -237,6 +261,90 @@ class TestScreen:
         assert cli.main([command, "--input", str(path), "--config", str(cfg)]) == 1
         assert "config value '5' is invalid for threshold" in capsys.readouterr().err
         assert cli.main([command, "--input", str(path), "--threshold", "0"]) == 0
+
+    @settings(deadline=None)
+    @given(
+        words=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=30), max_size=12),
+        limits=st.fixed_dictionaries({}, optional={
+            "w": st.integers(0, 30),
+            "gc_min": st.integers(0, 30),
+            "gc_max": st.integers(0, 30),
+            "s": st.integers(1, 6),
+            "max_mu": st.integers(0, 5),
+            "threshold": st.integers(-10, 0),
+            # halves, so that scores (multiples of 1/8) often meet the threshold
+            "approx_threshold": st.integers(-20, 2).map(lambda k: Fraction(k, 2)),
+            "at_energy": st.integers(-3, 0),
+            "gc_energy": st.integers(-3, 0),
+        }),
+    )
+    def test_matches_per_word_reference(self, words, limits):
+        expected = screen_reference(words, limits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out, log = (Path(tmp) / name for name in ("in.txt", "kept.txt", "log.txt"))
+            write_lines(path, words)
+            argv = ["screen", "--input", str(path), "--output", str(out), "--log", str(log)]
+            for dest, value in limits.items():
+                argv += [cli.OPTIONS[dest][0][0], str(value)]
+            rc = cli.main(argv)
+            if expected is None:
+                assert rc == 1 and not out.exists() and not log.exists()
+            else:
+                assert rc == 0
+                assert (out.read_text(), log.read_text()) == expected
+
+
+def screen_reference(words, limits):
+    """screen's (kept, log) text, checked word by word on the characters, or
+    None when no GC-content meets every GC limit."""
+    w, gc_min, gc_max = (limits.get(k) for k in ("w", "gc_min", "gc_max"))
+    s, max_mu = limits.get("s"), limits.get("max_mu")
+    threshold, approx = limits.get("threshold"), limits.get("approx_threshold")
+    params = folding.EnergyParams(limits.get("at_energy", -1), limits.get("gc_energy", -2))
+    model = folding.DEFAULT_LINEAR_MODEL
+
+    def gc_ok(gc):
+        return (
+            (w is None or gc == w)
+            and (gc_min is None or gc >= gc_min)
+            and (gc_max is None or gc <= gc_max)
+        )
+
+    def reason(word):
+        gc = gc_content(word)
+        if not gc_ok(gc):
+            return f"GC {gc}"
+        if s is not None or max_mu is not None:
+            depth = min(s if s is not None else len(word) - 1, len(word) - 1)
+            for i in range(1, depth + 1):
+                v = mu(word, i)
+                if v > (max_mu if max_mu is not None else 0):
+                    return f"mu_{i} {v}"
+        if threshold is not None:
+            energy = folding.min_free_energy(word, params)
+            if energy <= threshold:
+                return f"energy {energy}"
+        if approx is not None:
+            usable = min(model.depth, len(word) - 1)
+            if usable == 0:
+                score = model.kappa
+            else:
+                clamped = folding.LinearEnergyModel(model.kappa, model.gammas[:usable])
+                score = folding.linear_energy(word, clamped, params)
+            if score <= approx:
+                return f"approx_energy {score}"
+        return None
+
+    if not any(gc_ok(gc) for gc in range(32)):
+        return None
+    kept, log = [], []
+    for word in words:
+        why = reason(word)
+        if why is None:
+            kept.append(word + "\n")
+        else:
+            log.append(f"{word}\trejected\t{why}\n")
+    return "".join(kept), "".join(log)
 
 
 class TestEnumerate:
@@ -669,6 +777,8 @@ class TestOptionRanges:
         ("screen", "max_mu", "-1", "mu bound must be >= 0, got -1"),
         ("screen", "gc_min", "-3", "GC-content must be >= 0, got -3"),
         ("screen", "gc_max", "-1", "GC-content must be >= 0, got -1"),
+        ("screen", "at_energy", "1", "pair energy must be <= 0, got 1"),
+        ("fold", "gc_energy", "1", "pair energy must be <= 0, got 1"),
     ]
 
     def argv(self, tmp_path, command):
@@ -677,6 +787,7 @@ class TestOptionRanges:
         write_lines(path, ["ACGTAC"])
         return {
             "screen": ["screen", "--input", str(path)],
+            "fold": ["fold", "--input", str(path)],
             "count": ["count", "--gc"],
         }.get(command, [command])
 
@@ -699,7 +810,8 @@ class TestOptionRanges:
 
     @pytest.mark.parametrize("command,dest,value", [
         ("enumerate", "s", "1"), ("enumerate", "n", "1"), ("count", "w", "0"), ("screen", "max_mu", "0"),
-        ("screen", "gc_min", "0"), ("screen", "gc_max", "0"),
+        ("screen", "gc_min", "0"), ("screen", "gc_max", "0"), ("screen", "at_energy", "0"),
+        ("fold", "gc_energy", "0"),
     ])
     def test_bound_itself_is_accepted(self, tmp_path, capsys, command, dest, value):
         flag = cli.OPTIONS[dest][0][0]

@@ -18,10 +18,11 @@ from oligoforge.folding import (
     linear_energy,
     min_free_energy,
     nussinov_table,
+    packed_linear_energy,
     rotation_energies,
     traceback,
 )
-from oligoforge.seqcore import COMPLEMENT, mu
+from oligoforge.seqcore import COMPLEMENT, mu, packed_image
 
 import oracles
 from fixtures import TABLE_1, TABLE_2, TABLE_SEQ_1, TABLE_SEQ_2
@@ -337,6 +338,28 @@ class TestLinearEnergy:
         )
         model = LinearEnergyModel(kappa, gammas)
         assert linear_energy(word, model, EnergyParams(at, gc)) == expected
+
+    @given(
+        word=st.text(alphabet="ACGT", min_size=1, max_size=40),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+        kappa=st.fractions(min_value=-8, max_value=8, max_denominator=8),
+        data=st.data(),
+    )
+    def test_packed_score_reads_the_diagonals_the_word_has(self, word, at, gc, kappa, data):
+        # the model may be deeper than the word: only diagonals d < n count
+        n = len(word)
+        weights = st.fractions(min_value=Fraction(1, 16), max_value=4, max_denominator=16)
+        depth = data.draw(st.integers(min_value=1, max_value=n + 3))
+        gammas = sorted(data.draw(st.lists(weights, min_size=depth, max_size=depth)), reverse=True)
+        params = EnergyParams(at, gc)
+        expected = (
+            kappa
+            if n == 1
+            else linear_energy(word, LinearEnergyModel(kappa, gammas[: n - 1]), params)
+        )
+        model = LinearEnergyModel(kappa, gammas)
+        assert packed_linear_energy(*packed_image(word), n, model, params) == expected
 
 
 class TestTableRendering:
