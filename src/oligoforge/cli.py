@@ -132,8 +132,12 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args, defaults: dict):
-    """Fill unset options from the config file, then from defaults."""
+    """Fill unset options from the config file, then from defaults.
+
+    args.from_config names the options whose value came from the config file.
+    """
     config = load_config(args.config) if args.config else {}
+    args.from_config = set()
     for dest, fallback in defaults.items():
         if getattr(args, dest) is not None:
             continue
@@ -144,6 +148,7 @@ def _resolve(args, defaults: dict):
                 raise UsageError(
                     f"config value {config[dest]!r} is invalid for {dest}"
                 ) from None
+            args.from_config.add(dest)
         else:
             setattr(args, dest, fallback)
 
@@ -161,22 +166,26 @@ def _energy_params(args) -> folding.EnergyParams:
     return folding.EnergyParams(at=args.at_energy, gc=args.gc_energy)
 
 
-def _count_table(out, header: str, rows, oracle: bool) -> int:
-    """Write a count table, with a brute-force column when oracle is set.
+def _count_table(args, header: str, rows) -> int:
+    """Write a count table, with a brute-force column when args.oracle is set.
 
-    rows yields (label, count, n, predicate): count should equal the number
-    of words of length n that satisfy predicate.
+    rows yields (label, count, n, predicate) with n <= args.n: count should
+    equal the number of words of length n that satisfy predicate. The
+    oracle's cap is checked against args.n before any output is opened.
     """
-    out.write(header + ("\toracle\tmatch\n" if oracle else "\n"))
-    mismatch = False
-    for label, count, n, predicate in rows:
-        if oracle:
-            expected = enumeration.count_brute_force(n, predicate)
-            ok = count == expected
-            mismatch = mismatch or not ok
-            out.write(f"{label}\t{count}\t{expected}\t{'ok' if ok else 'MISMATCH'}\n")
-        else:
-            out.write(f"{label}\t{count}\n")
+    if args.oracle:
+        enumeration.check_oracle_cap(args.n)
+    with _open_out(args.output) as out:
+        out.write(header + ("\toracle\tmatch\n" if args.oracle else "\n"))
+        mismatch = False
+        for label, count, n, predicate in rows:
+            if args.oracle:
+                expected = enumeration.count_brute_force(n, predicate)
+                ok = count == expected
+                mismatch = mismatch or not ok
+                out.write(f"{label}\t{count}\t{expected}\t{'ok' if ok else 'MISMATCH'}\n")
+            else:
+                out.write(f"{label}\t{count}\n")
     return EXIT_VERIFY if mismatch else EXIT_OK
 
 
@@ -190,6 +199,15 @@ def _fold_blocks(sequences, params):
         yield q, table, structure
 
 
+def _json_rows(rows) -> str:
+    """Non-empty rows of ints and '*' as json.dumps(records, indent=2) lays
+    out the value of a record's key: rows at six spaces, cells at eight."""
+    if not rows:
+        return "[]"
+    cells = "\n      ],\n      [\n        ".join(",\n        ".join(map(str, row)) for row in rows)
+    return ("[\n      [\n        " + cells + "\n      ]\n    ]").replace("*", '"*"')
+
+
 def cmd_fold(args) -> int:
     if args.input is None:
         raise UsageError("fold requires --input")
@@ -198,20 +216,19 @@ def cmd_fold(args) -> int:
     with _open_out(args.output) as out:
         if args.format == "json":
             # One record at a time, in the bytes json.dumps(records, indent=2)
-            # gives: a record's own lines shift right by one indent level.
+            # gives. q.text is upper-case ACGT and needs no escaping.
             out.write("[")
             for count, (q, table, structure) in enumerate(_fold_blocks(sequences, params)):
-                record = {
-                    "sequence": q.text,
-                    "min_free_energy": table.min_free_energy,
-                    "has_structure": table.min_free_energy <= args.threshold,
-                    "threshold": args.threshold,
-                    "pairs": [list(p) for p in structure.sorted_pairs()],
-                    "dot_bracket": folding.dot_bracket(structure, table.n),
-                    "table": table.cells(),
-                }
-                text = json.dumps(record, indent=2).replace("\n", "\n  ")
-                out.write(("," if count else "") + "\n  " + text)
+                energy = table.min_free_energy
+                out.write(
+                    f'{"," if count else ""}\n  {{\n    "sequence": "{q.text}",\n'
+                    f'    "min_free_energy": {energy},\n'
+                    f'    "has_structure": {"true" if energy <= args.threshold else "false"},\n'
+                    f'    "threshold": {args.threshold},\n'
+                    f'    "pairs": {_json_rows(structure.sorted_pairs())},\n'
+                    f'    "dot_bracket": "{folding.dot_bracket(structure, table.n)}",\n'
+                    f'    "table": {_json_rows(table.cells())}\n  }}'
+                )
             out.write("\n]\n" if sequences else "]\n")
         else:
             for q, table, structure in _fold_blocks(sequences, params):
@@ -263,11 +280,15 @@ def cmd_screen(args) -> int:
     if args.input is None:
         raise UsageError("screen requires --input")
     # one GC range, -w being [w, w]; an empty one would reject every word
-    lows = [(v, flag) for v, flag in ((args.gc_min, "--gc-min"), (args.w, "-w")) if v is not None]
-    highs = [(v, flag) for v, flag in ((args.w, "-w"), (args.gc_max, "--gc-max")) if v is not None]
-    (low, low_flag), (high, high_flag) = max(lows, default=(0, "")), min(highs, default=(math.inf, ""))
+    lows = [(getattr(args, d), d) for d in ("gc_min", "w") if getattr(args, d) is not None]
+    highs = [(getattr(args, d), d) for d in ("w", "gc_max") if getattr(args, d) is not None]
+    (low, low_dest), (high, high_dest) = max(lows, default=(0, "")), min(highs, default=(math.inf, ""))
     if low > high:
-        raise UsageError(f"{low_flag} {low} exceeds {high_flag} {high}")
+        keys = [d for d in (low_dest, high_dest) if d in args.from_config]
+        source = f" (config key{'s' if len(keys) > 1 else ''} {', '.join(keys)})" if keys else ""
+        raise UsageError(
+            f"{OPTIONS[low_dest][0][0]} {low} exceeds {OPTIONS[high_dest][0][0]} {high}{source}"
+        )
     # -s alone bounds mu_1..mu_s by 0; --max-mu alone bounds every mu_i
     depth = 0 if args.s is None and args.max_mu is None else args.s or math.inf
     bound = args.max_mu or 0
@@ -295,8 +316,7 @@ def cmd_enumerate(args) -> int:
     table = enumeration.g_series(args.s, args.n)
     predicate = enumeration.mu_zero_predicate(args.s)
     rows = ((n, table.value(n), n, predicate) for n in range(1, args.n + 1))
-    with _open_out(args.output) as out:
-        return _count_table(out, "n\tg_s(n)", rows, args.oracle)
+    return _count_table(args, "n\tg_s(n)", rows)
 
 
 # ---------------------------------------------------------------- gf
@@ -335,14 +355,14 @@ def cmd_count(args) -> int:
                 f"{n}\t{w}",
                 series.coefficient(n, w),
                 n,
-                lambda even, odd, n, w=w: even.bit_count() == w and mu1_zero(even, odd, n),
+                # only the even images of weight w reach the odd test
+                lambda even, n, w=w: mu1_zero(even, n) if even.bit_count() == w else None,
             )
             for n in range(1, args.n + 1)
             for w in range(n + 1)
             if args.w is None or w == args.w
         )
-    with _open_out(args.output) as out:
-        return _count_table(out, header, rows, args.oracle)
+    return _count_table(args, header, rows)
 
 
 # ---------------------------------------------------------------- construct

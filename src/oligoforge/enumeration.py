@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .seqcore import packed_mu
-
 DEFAULT_ORACLE_CAP = 12
 ORACLE_CAP_ENV = "OLIGOFORGE_ORACLE_CAP"
 
@@ -41,64 +39,98 @@ def oracle_cap() -> int:
     return cap
 
 
-def count_brute_force(
-    n: int, predicate: Callable[[int, int, int], bool], cap: int | None = None
-) -> int:
-    """Count length-n words satisfying predicate by full enumeration.
+def check_oracle_cap(n: int, cap: int | None = None) -> None:
+    """Refuse an exhaustive walk of length n past the cap.
 
-    Every pair of n-bit ints (even, odd) is the packed image
-    (seqcore.packed_image) of exactly one word of length n, so the pairs
-    walk all 4^n words; predicate is called as predicate(even, odd, n).
-
-    Refuses to run past the cap (argument, else the environment override,
-    else 12) rather than sampling: results from this oracle are exact or
-    absent.
+    The cap is the argument, else the environment override, else 12.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     effective_cap = cap if cap is not None else oracle_cap()
     if n > effective_cap:
         raise OracleCapError(
             f"brute-force enumeration of 4^{n} words exceeds the cap of {effective_cap}"
         )
+
+
+# predicate(even, n) -> test of the odd images, or None when no odd image passes
+Predicate = Callable[[int, int], Callable[[int], bool] | None]
+
+
+def count_brute_force(n: int, predicate: Predicate, cap: int | None = None) -> int:
+    """Count length-n words satisfying predicate by full enumeration.
+
+    Every pair of n-bit ints (even, odd) is the packed image
+    (seqcore.packed_image) of exactly one word of length n, so the pairs
+    walk all 4^n words. predicate(even, n) is called once per even image
+    and returns the test of that image's 2^n odd images, which is applied
+    to every one of them; a None test rejects them all at once.
+
+    Refuses to run past the cap (check_oracle_cap) rather than sampling:
+    results from this oracle are exact or absent.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_oracle_cap(n, cap)
     side = range(1 << n)
-    return sum(1 for even in side for odd in side if predicate(even, odd, n))
+    total = 0
+    for even in side:
+        test = predicate(even, n)
+        if test is not None:
+            total += sum(map(test, side))
+    return total
 
 
-def mu_zero_predicate(s: int) -> Callable[[int, int, int], bool]:
+def _same_class(even: int, n: int, i: int) -> int:
+    """Positions l < n-i where q[l] and q[l+i] are both A/T or both C/G.
+
+    There q[l] matches the complement of q[l+i] exactly where the odd bits
+    differ: packed_mu's identity with the even factor taken out.
+    """
+    return ~(even ^ even >> i) & ((1 << n - i) - 1)
+
+
+def mu_zero_predicate(s: int) -> Predicate:
     """Predicate on a packed image: mu_i = 0 for every shift 1..min(s, n-1)."""
     if s < 1:
         raise ValueError("shift depth must be >= 1")
 
-    def predicate(even: int, odd: int, n: int) -> bool:
-        for i in range(1, min(s, n - 1) + 1):
-            if packed_mu(even, odd, n, i):
-                return False
-        return True
+    def predicate(even: int, n: int) -> Callable[[int], bool]:
+        shifts = [(i, _same_class(even, n, i)) for i in range(1, min(s, n - 1) + 1)]
+
+        def test(odd: int) -> bool:
+            for i, same in shifts:
+                if (odd ^ odd >> i) & same:
+                    return False
+            return True
+
+        return test
 
     return predicate
 
 
-def mu1_equals_predicate(m: int) -> Callable[[int, int, int], bool]:
+def mu1_equals_predicate(m: int) -> Predicate:
     """Predicate on a packed image: exactly m complementary matches on shift 1."""
     if m < 0:
         raise ValueError("match count must be >= 0")
 
-    def predicate(even: int, odd: int, n: int) -> bool:
-        return packed_mu(even, odd, n, 1) == m
+    def predicate(even: int, n: int) -> Callable[[int], bool] | None:
+        same = _same_class(even, n, 1)
+        if same.bit_count() < m:
+            return None
+        return lambda odd: ((odd ^ odd >> 1) & same).bit_count() == m
 
     return predicate
 
 
-def complement_free_predicate() -> Callable[[int, int, int], bool]:
+def complement_free_predicate() -> Predicate:
     """Predicate on a packed image: no two positions hold complementary bases.
 
     The A/T positions (~even) and the C/G positions (even) each tell their
     two bases apart by the odd bit alone, so each part's odd bits must agree.
     """
 
-    def predicate(even: int, odd: int, n: int) -> bool:
-        return all(odd & part in (0, part) for part in (~even & ((1 << n) - 1), even))
+    def predicate(even: int, n: int) -> Callable[[int], bool]:
+        at, gc = ~even & ((1 << n) - 1), even
+        return lambda odd: odd & at in (0, at) and odd & gc in (0, gc)
 
     return predicate
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoforge import cli, folding
+from oligoforge import cli, enumeration, folding
 from oligoforge.codegen import build_dna_code, simplex_code
 from oligoforge.seqcore import gc_content, mu
 
+import oracles
 from fixtures import TABLE_1, TABLE_2, TABLE_SEQ_1, TABLE_SEQ_2
 
 
@@ -26,6 +27,30 @@ def parse_rendered_table(block_lines):
         tokens = line.split()
         rows.append(tokens[1:])
     return rows
+
+
+def fold_records(words, threshold=-2, params=None):
+    """The records fold --format json writes, built apart from its writer."""
+    records = []
+    for word in words:
+        table = folding.nussinov_table(word, params)
+        structure = folding.traceback(table, word, params)
+        energy = table.min_free_energy
+        records.append(
+            {
+                "sequence": word.upper(),
+                "min_free_energy": energy,
+                "has_structure": energy <= threshold,
+                "threshold": threshold,
+                "pairs": [list(p) for p in structure.sorted_pairs()],
+                "dot_bracket": folding.dot_bracket(structure, table.n),
+                "table": [
+                    [table.value(i, j) if j >= i - 1 else "*" for j in range(1, table.n + 1)]
+                    for i in range(1, table.n + 1)
+                ],
+            }
+        )
+    return records
 
 
 class TestFold:
@@ -100,26 +125,26 @@ class TestFold:
         for words in ([], [TABLE_SEQ_2], [TABLE_SEQ_1, TABLE_SEQ_2, "C"]):
             rc, captured = self.run_fold(tmp_path, capsys, words, "--format", "json")
             assert rc == 0
-            records = []
-            for word in words:
-                table = folding.nussinov_table(word)
-                structure = folding.traceback(table, word)
-                energy = table.min_free_energy
-                records.append(
-                    {
-                        "sequence": word,
-                        "min_free_energy": energy,
-                        "has_structure": energy <= -2,
-                        "threshold": -2,
-                        "pairs": [list(p) for p in structure.sorted_pairs()],
-                        "dot_bracket": folding.dot_bracket(structure, table.n),
-                        "table": [
-                            [table.value(i, j) if j >= i - 1 else "*" for j in range(1, table.n + 1)]
-                            for i in range(1, table.n + 1)
-                        ],
-                    }
-                )
+            records = fold_records(words)
             assert captured.out == json.dumps(records, indent=2) + "\n"
+
+    @settings(deadline=None)
+    @given(
+        words=st.lists(st.text(alphabet="ACGTacgt", min_size=1, max_size=30), max_size=6),
+        threshold=st.integers(min_value=-40, max_value=0),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+    )
+    def test_json_bytes_match_json_dumps_on_random_pools(self, words, threshold, at, gc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.txt"
+            out = Path(tmp) / "out.json"
+            write_lines(path, words)
+            argv = ["fold", "--input", str(path), "--format", "json", "--output", str(out),
+                    "--threshold", str(threshold), "--at-energy", str(at), "--gc-energy", str(gc)]
+            assert cli.main(argv) == 0
+            records = fold_records(words, threshold, folding.EnergyParams(at=at, gc=gc))
+            assert out.read_text() == json.dumps(records, indent=2) + "\n"
 
     def test_non_ascii_byte_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
@@ -182,6 +207,13 @@ class TestScreen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--gc-min 5 exceeds --gc-max 2" in captured.err
+        if route == "config":
+            assert "--gc-min 5 exceeds --gc-max 2 (config keys gc_min, gc_max)" in captured.err
+        else:
+            assert "config key" not in captured.err
+
+    # the config keys a config-sourced message names, by message
+    CONFIG_KEYS = {"--gc-min 5 exceeds -w 3": "gc_min, w", "-w 9 exceeds --gc-max 5": "w, gc_max"}
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     @pytest.mark.parametrize("limits,message", [
@@ -201,6 +233,19 @@ class TestScreen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+        if route == "config":
+            assert f"{message} (config keys {self.CONFIG_KEYS[message]})" in captured.err
+        else:
+            assert "config key" not in captured.err
+
+    def test_gc_range_names_only_the_config_key_it_read(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        write_lines(path, ["ACGTAC"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gc_min=5\n")
+        assert cli.main(["screen", "--input", str(path), "--config", str(cfg), "-w", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "--gc-min 5 exceeds -w 3 (config key gc_min)" in err
 
     def test_mu_rejection_names_shift(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
@@ -368,6 +413,34 @@ class TestEnumerate:
         monkeypatch.setenv("OLIGOFORGE_ORACLE_CAP", "3")
         rc = cli.main(["enumerate", "-s", "1", "-n", "4", "--oracle"])
         assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the cap of 3" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "-s", "1", "-n", "5"],
+        ["count", "--mu1", "-n", "5"],
+        ["count", "--gc", "-n", "5"],
+        ["count", "--gc", "-n", "5", "-w", "2"],
+    ])
+    @pytest.mark.parametrize("cap", ["3", "zero"])
+    def test_oracle_cap_checked_before_any_output(self, tmp_path, capsys, monkeypatch, argv, cap):
+        monkeypatch.setenv("OLIGOFORGE_ORACLE_CAP", cap)
+        out = tmp_path / "t.tsv"
+        assert cli.main([*argv, "--oracle", "--output", str(out)]) == 1
+        assert not out.exists()
+        assert cli.main([*argv, "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("exceeds the cap of 3" if cap == "3" else "must be an integer") in captured.err
+
+    def test_default_cap_refuses_before_the_first_row(self, capsys, monkeypatch):
+        # rows 1-12 alone would walk 22M words
+        monkeypatch.delenv("OLIGOFORGE_ORACLE_CAP", raising=False)
+        assert cli.main(["enumerate", "-s", "1", "-n", "13", "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the cap of 12" in captured.err
 
     def test_env_cap_allows_within_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("OLIGOFORGE_ORACLE_CAP", "3")
@@ -424,6 +497,40 @@ class TestCount:
         captured = capsys.readouterr()
         assert rc == 0
         assert all(line.endswith("\tok") for line in captured.out.splitlines()[1:])
+
+    @pytest.mark.parametrize("w", [None, 2])
+    def test_gc_oracle_tests_each_word_once_per_length(self, capsys, monkeypatch, w):
+        calls = {}
+        real = enumeration.mu_zero_predicate
+
+        def counted_mu_zero(s):
+            stage = real(s)
+
+            def predicate(even, n):
+                test = stage(even, n)
+
+                def counted(odd):
+                    calls[n] = calls.get(n, 0) + 1
+                    return test(odd)
+
+                return counted
+
+            return predicate
+
+        monkeypatch.setattr(enumeration, "mu_zero_predicate", counted_mu_zero)
+        argv = ["count", "--gc", "-n", "6", "--oracle"] + ([] if w is None else ["-w", str(w)])
+        assert cli.main(argv) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        oracle = {(int(n), int(gc)): int(count) for n, gc, _, count, _ in rows}
+        for n in range(1, 7):
+            census = oracles.census_mu1zero_by_gc(n)
+            weights = range(n + 1) if w is None else [w] if w <= n else []
+            assert {gc: oracle[n, gc] for gc in weights} == {gc: census.get(gc, 0) for gc in weights}
+            # each row tests only the even images of its weight
+            expected_calls = sum(math.comb(n, gc) for gc in weights) * 2**n
+            assert calls.get(n, 0) == expected_calls
+            if w is None:
+                assert expected_calls == 4**n
 
     def test_requires_exactly_one_mode(self, capsys):
         assert cli.main(["count", "-n", "3"]) == 1

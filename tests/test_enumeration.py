@@ -63,15 +63,29 @@ class TestBruteForce:
     def test_walks_every_word_once(self, n):
         seen = []
 
-        def record(even, odd, length):
-            seen.append(sequence_from_even_odd(f"{even:0{length}b}", f"{odd:0{length}b}").text)
-            return True
+        def record(even, length):
+            def test(odd):
+                seen.append(sequence_from_even_odd(f"{even:0{length}b}", f"{odd:0{length}b}").text)
+                return True
+
+            return test
 
         assert count_brute_force(n, record) == 4**n
         assert sorted(seen) == sorted(oracles.all_words(n))
 
+    def test_none_rejects_every_odd_image(self):
+        # a predicate passing only even image 0 counts its 2^n odd images
+        assert count_brute_force(3, lambda even, n: None if even else (lambda odd: True)) == 8
+
 
 WORDS = st.text(alphabet="ACGT", min_size=1, max_size=12)
+
+
+def staged(predicate, word: str) -> bool:
+    """predicate(even, n)(odd) on word's packed image; a None stage rejects."""
+    even, odd = packed_image(word)
+    test = predicate(even, len(word))
+    return test is not None and test(odd)
 
 
 class TestPackedPredicates:
@@ -81,17 +95,35 @@ class TestPackedPredicates:
     def test_mu_zero(self, word, s):
         n = len(word)
         expected = all(oracles.direct_mu(word, i) == 0 for i in range(1, min(s, n - 1) + 1))
-        assert mu_zero_predicate(s)(*packed_image(word), n) == expected
+        assert staged(mu_zero_predicate(s), word) == expected
 
     @given(word=WORDS, m=st.integers(min_value=0, max_value=12))
     def test_mu1_equals(self, word, m):
         expected = oracles.direct_mu(word, 1) == m
-        assert mu1_equals_predicate(m)(*packed_image(word), len(word)) == expected
+        assert staged(mu1_equals_predicate(m), word) == expected
 
     @given(word=WORDS)
     def test_complement_free(self, word):
         expected = not any(oracles.COMPLEMENT[b] in word for b in word)
-        assert complement_free_predicate()(*packed_image(word), len(word)) == expected
+        assert staged(complement_free_predicate(), word) == expected
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_counts_match_a_walk_over_every_word(self, n):
+        # shift profiles of all 4^n words, by the character walk
+        profiles = [
+            (word, [oracles.direct_mu(word, i) for i in range(1, n)])
+            for word in oracles.all_words(n)
+        ]
+        for s in range(1, n + 3):  # s >= n constrains every shift
+            expected = sum(not any(profile[:s]) for _, profile in profiles)
+            assert count_brute_force(n, mu_zero_predicate(s)) == expected, s
+        for m in range(n + 2):  # m > n - 1 counts no word
+            expected = sum(oracles.direct_mu(word, 1) == m for word, _ in profiles)
+            assert count_brute_force(n, mu1_equals_predicate(m)) == expected, m
+        expected = sum(
+            not any(oracles.COMPLEMENT[b] in word for b in word) for word, _ in profiles
+        )
+        assert count_brute_force(n, complement_free_predicate()) == expected
 
 
 class TestBoundaryCount:
