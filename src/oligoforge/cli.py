@@ -91,7 +91,7 @@ OPTIONS = {
     "format": (("--format",), _fold_format, "output format: text, csv or json"),
     "s": (("-s",), _bounded_int("shift depth", low=1), "shift depth (>= 1)"),
     "n": (("-n",), _bounded_int("word length", low=1), "word length, or the largest length of a table (>= 1)"),
-    "m": (("-m",), int, "simplex dimension (>= 2)"),
+    "m": (("-m",), _bounded_int("simplex dimension -m", low=2), "simplex dimension (>= 2)"),
     "w": (("-w",), _bounded_int("GC-content", low=0), "GC-content (>= 0): the one screen keeps, or the one count --gc prints"),
     "max_mu": (("--max-mu",), _bounded_int("mu bound", low=0), "largest allowed mu_i (>= 0), i <= s (all i without -s; 0 if unset)"),
     "gc_min": (("--gc-min",), _bounded_int("GC-content", low=0), "smallest allowed GC-content (>= 0)"),
@@ -108,18 +108,14 @@ OPTIONS = {
 }
 
 
-def load_config(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and '#' comments are skipped."""
+def load_config(path: str) -> dict[str, tuple[str, int]]:
+    """Flat key=value file, read through seqcore.data_lines: dest -> (value, line).
+
+    A key may appear once.
+    """
     values = {}
-    # undecodable bytes become lone surrogates, reported per line below
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            problem = seqcore.non_ascii_byte(raw)
-            if problem is not None:
-                raise UsageError(f"{path}:{lineno}: {problem}")
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    try:
+        for lineno, line in seqcore.data_lines(path):
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
@@ -127,7 +123,13 @@ def load_config(path: str) -> dict[str, str]:
             dest = key.replace("-", "_")
             if dest not in OPTIONS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[dest] = value.strip()
+            if dest in values:
+                raise UsageError(
+                    f"{path}:{lineno}: config key {key!r} repeats the one at {path}:{values[dest][1]}"
+                )
+            values[dest] = value.strip(), lineno
+    except SequenceParseError as exc:  # a non-ASCII byte: a bad config file is a usage error
+        raise UsageError(str(exc)) from None
     return values
 
 
@@ -142,11 +144,12 @@ def _resolve(args, defaults: dict):
         if getattr(args, dest) is not None:
             continue
         if dest in config:
+            value, lineno = config[dest]
             try:
-                setattr(args, dest, OPTIONS[dest][1](config[dest]))
+                setattr(args, dest, OPTIONS[dest][1](value))
             except (ValueError, argparse.ArgumentTypeError):
                 raise UsageError(
-                    f"config value {config[dest]!r} is invalid for {dest}"
+                    f"config value {value!r} is invalid for {dest} ({args.config}:{lineno})"
                 ) from None
             args.from_config.add(dest)
         else:
@@ -154,9 +157,10 @@ def _resolve(args, defaults: dict):
 
 
 @contextmanager
-def _open_out(path: str | None):
+def _open_out(path: str | None, stream: str = "stdout"):
+    """path opened for writing, or the sys stream named stream when path is None."""
     if path is None:
-        yield sys.stdout
+        yield getattr(sys, stream)
     else:
         with open(path, "w", encoding="ascii") as handle:
             yield handle
@@ -294,18 +298,13 @@ def cmd_screen(args) -> int:
     bound = args.max_mu or 0
     params = _energy_params(args)
     sequences = seqcore.read_sequence_file(args.input)
-    log_handle = open(args.log, "w", encoding="ascii") if args.log else sys.stderr
-    try:
-        with _open_out(args.output) as out:
-            for q in sequences:
-                reason = _screen_reason(q, low, high, depth, bound, args, params)
-                if reason is None:
-                    out.write(q.text + "\n")
-                else:
-                    log_handle.write(f"{q.text}\trejected\t{reason}\n")
-    finally:
-        if args.log:
-            log_handle.close()
+    with _open_out(args.log, "stderr") as log, _open_out(args.output) as out:
+        for q in sequences:
+            reason = _screen_reason(q, low, high, depth, bound, args, params)
+            if reason is None:
+                out.write(q.text + "\n")
+            else:
+                log.write(f"{q.text}\trejected\t{reason}\n")
     return EXIT_OK
 
 
@@ -416,40 +415,55 @@ def _load_sidecar(path: str) -> dict:
     return declared
 
 
+def _differences(key: str, declared, recomputed) -> list[str]:
+    """One line per declared value that differs from the recomputed one;
+    a dict of per-word values is compared word by word."""
+    if declared == recomputed:
+        return []
+    if isinstance(declared, dict) and isinstance(recomputed, dict):
+        return [
+            line
+            for w in {**recomputed, **declared}
+            for line in _differences(f"{key}[{w}]", declared.get(w), recomputed.get(w))
+        ]
+    return [f"{key}: declared {declared}, recomputed {recomputed}"]
+
+
 def cmd_verify(args) -> int:
     if args.input is None:
         raise UsageError("verify requires --input")
-    if args.m is not None and args.m < 2:
-        raise UsageError("-m must be >= 2")
     sequences = seqcore.read_sequence_file(args.input)
     if not sequences:
         raise DataError(f"{args.input}: no sequences to verify")
+    meta_path = args.meta or args.input + ".meta.json"
     try:
-        declared = _load_sidecar(args.meta or args.input + ".meta.json")
+        declared = _load_sidecar(meta_path)
     except FileNotFoundError:
         if args.meta is not None:
             raise
-        declared = None
-    m = args.m if args.m is not None else (declared or {}).get("m")
+        declared = {}
+    m = args.m if args.m is not None else declared.get("m")
+    generator = declared.get("generator")
     try:
-        code = codegen.load_dna_code(
-            sequences, m=m, generator=(declared or {}).get("generator")
-        )
-    except ValueError as exc:  # m is checked above, so the words are at fault
+        code = codegen.load_dna_code(sequences, m=m, generator=generator)
+    except ValueError as exc:  # -m and the sidecar's m are checked already, so the words are at fault
         raise DataError(f"{args.input}: {exc}") from None
     report = codegen.verify_code(code, _energy_params(args), args.threshold)
-    failures = []
-    if not report.passed:
-        if not report.mu_bound_met:
-            failures.append(
-                f"max mu {report.properties.max_shift_match} exceeds bound {report.mu_bound}"
-            )
-        if not report.gc_as_expected:
-            failures.append(f"GC content check failed: values {list(report.properties.gc_values)}")
-    if declared is not None:
-        for key, value in report.properties.facts().items():
-            if key in declared and declared[key] != value:
-                failures.append(f"{key}: declared {declared[key]}, recomputed {value}")
+    failures = list(report.failures)
+    recomputed = codegen.code_metadata(code, report)
+    for key, value in declared.items():
+        if key not in recomputed:
+            raise DataError(f"{meta_path}: unknown sidecar key {key!r}")
+        failures += _differences(key, value, recomputed[key])
+    if generator is not None:
+        if m is None:
+            raise codegen.SimplexCodeError(f"{meta_path}: generator: no m to check it against")
+        try:
+            simplex = codegen.simplex_code(m, generator)
+        except codegen.SimplexCodeError as exc:
+            raise codegen.SimplexCodeError(f"{meta_path}: generator: {exc}") from None
+        if not codegen.holds_simplex_code(code, simplex):
+            failures.append(f"generator: {args.input} does not hold the code of {generator}")
     with _open_out(args.output) as out:
         out.write(report.render_text() + "\n")
         for failure in failures:

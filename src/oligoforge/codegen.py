@@ -126,7 +126,9 @@ class CodeProperties:
     rotation_step is the smallest d such that rotating every word by d
     maps the codeword multiset onto itself. The rotations that do form the
     group generated by d; it is 1 for a simplex code, and the word length
-    when only the identity does.
+    when only the identity does. representatives holds one distinct word
+    per orbit of that group, in codeword order; rotating each by the
+    multiples of d gives every distinct word, each once per orbit.
     """
 
     size: int
@@ -136,52 +138,52 @@ class CodeProperties:
     gc_values: tuple[int, ...]  # sorted distinct values
     max_shift_match: int
     rotation_step: int
+    representatives: tuple[str, ...]
 
     @property
     def gc_constant(self) -> bool:
         return self.gc_content is not None
 
-    def facts(self) -> dict:
-        """The facts a code's sidecar declares and verify recomputes, in sidecar order."""
-        return {
-            "size": self.size,
-            "length": self.length,
-            "min_hamming_distance": self.min_hamming_distance,
-            "gc_content": self.gc_content,
-            "max_mu": self.max_shift_match,
-        }
 
+def _rotation_orbits(texts: list[str], length: int) -> tuple[int, tuple[str, ...]]:
+    """Rotation step of a word multiset and one representative per orbit.
 
-def _rotation_step(texts: list[str], length: int) -> int:
-    """Smallest divisor d of length whose rotation preserves the multiset.
-
-    The rotations preserving it form a subgroup of Z_length, which is
-    dZ_length for the smallest such d. Multiplicity counts: a rotation
-    that maps a repeated word onto a single one does not preserve the code.
+    The rotations preserving the multiset form a subgroup of Z_length,
+    which is dZ_length for the smallest such d. Multiplicity counts: a
+    rotation that maps a repeated word onto a single one does not preserve
+    the code. The first word of each orbit, by index, represents it.
     """
     counts: dict[str, int] = {}
     for t in texts:
         counts[t] = counts.get(t, 0) + 1
-    for d in range(1, length):
-        if length % d == 0 and all(counts.get(t[d:] + t[:d]) == c for t, c in counts.items()):
-            return d
-    return length
+    step = next(
+        d
+        for d in range(1, length + 1)
+        if length % d == 0 and all(counts.get(t[d:] + t[:d]) == c for t, c in counts.items())
+    )
+    representatives = []
+    for t in list(counts):
+        if t in counts:  # not yet in an orbit
+            representatives.append(t)
+            for k in range(0, length, step):
+                counts.pop(t[k:] + t[:k], None)
+    return step, tuple(representatives)
 
 
 def code_properties(codewords) -> CodeProperties:
     """Compute the metadata of an arbitrary equal-length codeword set.
 
-    Distances and shift-match counts go through the packed binary images:
-    positions differ exactly where the even or the odd bits differ, so each
-    pairwise distance is one popcount, and each shift-match count is one
-    popcount too (seqcore.packed_mu).
+    Each distinct word is packed once. Distances and shift-match counts go
+    through the packed binary images: positions differ exactly where the
+    even or the odd bits differ, so each pairwise distance is one popcount,
+    and each shift-match count is one popcount too (seqcore.packed_mu).
 
-    Hamming distance does not change when both words rotate alike, so the
-    minimum over all pairs is the minimum over the pairs that hold one
-    representative of each orbit of the rotation group (the first word of
-    each orbit, by index). Representatives are compared with each other
-    once and with every other word; when the group is trivial every word
-    is a representative and this is the plain loop over all pairs.
+    A repeated word puts the minimum distance at 0. Otherwise, since Hamming
+    distance does not change when both words rotate alike, the minimum over
+    all pairs is the minimum over the pairs that hold an orbit
+    representative. Representatives are compared with each other once and
+    with every other word; when the group is trivial every word is a
+    representative and this is the plain loop over all pairs.
     """
     words = [DnaSequence(w) for w in codewords]
     if not words:
@@ -189,34 +191,22 @@ def code_properties(codewords) -> CodeProperties:
     length = len(words[0])
     if any(len(w) != length for w in words):
         raise ValueError("codewords must have equal length")
-    texts = [w.text for w in words]
-    step = _rotation_step(texts, length)
-    images = [packed_image(w) for w in words]
-    # the first index of each distinct word; later copies are never representatives
-    first: dict[str, int] = {}
-    for idx, t in enumerate(texts):
-        first.setdefault(t, idx)
-    covered = bytearray(len(words))
-    representatives, others = [], []
-    for idx, t in enumerate(texts):
-        if covered[idx] or first[t] != idx:
-            others.append(images[idx])
-            continue
-        representatives.append(images[idx])
-        for k in range(step, length, step):
-            covered[first[t[k:] + t[:k]]] = 1
-    ordered = representatives + others
-    min_distance = None
+    distinct = {w.text: w for w in words}  # in first-occurrence order
+    step, representatives = _rotation_orbits([w.text for w in words], length)
+    chosen = set(representatives)
+    ordered = [packed_image(distinct[t]) for t in representatives]
+    ordered += [packed_image(w) for t, w in distinct.items() if t not in chosen]
+    min_distance = 0 if len(distinct) < len(words) else None
     for idx in range(len(representatives)):
         e1, o1 = ordered[idx]
         for e2, o2 in ordered[idx + 1 :]:
             d = ((e1 ^ e2) | (o1 ^ o2)).bit_count()
             if min_distance is None or d < min_distance:
                 min_distance = d
-    gc_values = tuple(sorted({e.bit_count() for e, _ in images}))
+    gc_values = tuple(sorted({e.bit_count() for e, _ in ordered}))
     common_gc = gc_values[0] if len(gc_values) == 1 else None
     max_mu = max(
-        (packed_mu(e, o, length, i) for e, o in images for i in range(1, length)),
+        (packed_mu(e, o, length, i) for e, o in ordered for i in range(1, length)),
         default=0,
     )
     return CodeProperties(
@@ -227,6 +217,7 @@ def code_properties(codewords) -> CodeProperties:
         gc_values=gc_values,
         max_shift_match=max_mu,
         rotation_step=step,
+        representatives=representatives,
     )
 
 
@@ -258,15 +249,11 @@ def build_dna_code(code: SimplexCode) -> DnaCode:
     """DNA code from all ordered (even, odd) pairs of nonzero codewords.
 
     Each pair decodes position-wise through the inverse base encoding,
-    giving (2^m - 1)^2 distinct words; ordering follows the shift order of
-    the generator, even component outermost.
+    giving (2^m - 1)^2 distinct words, since the shifts are distinct;
+    ordering follows the shift order of the generator, even component
+    outermost.
     """
-    words = []
-    for even in code.codewords:
-        for odd in code.codewords:
-            words.append(sequence_from_even_odd(even, odd))
-    if len(set(words)) != code.n**2:
-        raise SimplexCodeError("construction produced duplicate codewords")
+    words = [sequence_from_even_odd(even, odd) for even in code.codewords for odd in code.codewords]
     return DnaCode(tuple(words), m=code.m, generator=code.generator)
 
 
@@ -275,19 +262,47 @@ def load_dna_code(sequences, m: int | None = None, generator: str | None = None)
     return DnaCode(tuple(DnaSequence(w) for w in sequences), m=m, generator=generator)
 
 
+def holds_simplex_code(code: DnaCode, simplex: SimplexCode) -> bool:
+    """Whether code's words are exactly simplex's DNA code, as a multiset.
+
+    That code holds n^2 distinct words of length n, in n orbits of n under
+    rotation by 1, and a word is in it when its even and odd images are
+    both shifts of the generator. A multiset closed under rotation by 1 is
+    its representatives' orbits, each word of an orbit repeated alike; a
+    representative whose images are shifts has n distinct rotations. So n^2
+    such words with rotation step 1 are that code exactly when there are n
+    representatives and each one's images are shifts.
+    """
+    props, n = code.properties, simplex.n
+    shifts = {int(c, 2) for c in simplex.codewords}
+    return (
+        props.size == n * n
+        and props.length == n
+        and props.rotation_step == 1
+        and len(props.representatives) == n
+        and all(e in shifts and o in shifts for e, o in map(packed_image, props.representatives))
+    )
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Recomputed code facts plus pass/fail against the declared bounds."""
+    """Recomputed code facts and the reasons the code fails its bounds."""
 
     properties: CodeProperties
     mu_bound: int | None
-    mu_bound_met: bool
-    expected_gc: int | None
-    gc_as_expected: bool
+    params: folding.EnergyParams
     energies: dict[str, int]
     folded: tuple[str, ...]  # codewords at or below the structure threshold
     threshold: int
-    passed: bool
+    failures: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def mu_bound_met(self) -> bool:
+        return self.mu_bound is None or self.properties.max_shift_match <= self.mu_bound
 
     def render_text(self) -> str:
         props = self.properties
@@ -320,47 +335,51 @@ def verify_code(
 
     The properties are the ones the code computed from its codewords when
     it was made. Pass requires: the shift-match bound holds when known, and
-    GC-content is constant (and equal to 2^(m-1) when m is known). Folding
+    GC-content is constant (and equal to 2^(m-1) when m is known); each
+    failed requirement is one line of the report's failures. Folding
     energies are reported for information; the threshold verdict counts how
     many words fold. Each orbit of the code's rotation group is folded by
-    one windowed fill (folding.rotation_energies), in codeword order; when
-    the group is trivial each orbit is one word and that fill is the plain one.
+    one windowed fill of its representative (folding.rotation_energies);
+    the energies are keyed in codeword order.
     """
+    params = params or folding.DEFAULT_ENERGY_PARAMS
     props = code.properties
-    mu_bound = code.mu_bound
-    mu_ok = mu_bound is None or props.max_shift_match <= mu_bound
-    expected_gc = 2 ** (code.m - 1) if code.m is not None else None
-    gc_ok = props.gc_constant and (expected_gc is None or props.gc_content == expected_gc)
+    failures = []
+    if code.mu_bound is not None and props.max_shift_match > code.mu_bound:
+        failures.append(f"max mu {props.max_shift_match} exceeds bound {code.mu_bound}")
+    if not props.gc_constant or (code.m is not None and props.gc_content != 2 ** (code.m - 1)):
+        failures.append(f"GC content check failed: values {list(props.gc_values)}")
     energies = dict.fromkeys(w.text for w in code.codewords)
     step = props.rotation_step
-    orbit = props.length // step
-    for t, e in energies.items():
-        if e is not None:
-            continue
-        # rotations of a codeword are codewords, so these keys exist
-        for k, energy in enumerate(folding.rotation_energies(t, step, orbit, params)):
+    for t in props.representatives:
+        for k, energy in enumerate(folding.rotation_energies(t, step, props.length // step, params)):
+            # rotations of a representative are codewords, so these keys exist
             energies[t[k * step :] + t[: k * step]] = energy
-    folded = [w.text for w in code.codewords if energies[w.text] <= threshold]
     return VerificationReport(
         properties=props,
-        mu_bound=mu_bound,
-        mu_bound_met=mu_ok,
-        expected_gc=expected_gc,
-        gc_as_expected=gc_ok,
+        mu_bound=code.mu_bound,
+        params=params,
         energies=energies,
-        folded=tuple(folded),
+        folded=tuple(w.text for w in code.codewords if energies[w.text] <= threshold),
         threshold=threshold,
-        passed=mu_ok and gc_ok,
+        failures=tuple(failures),
     )
 
 
 def code_metadata(code: DnaCode, report: VerificationReport) -> dict:
-    """JSON-ready sidecar describing a constructed code."""
+    """JSON-ready sidecar describing a code: every key verify compares."""
+    props = report.properties
     return {
         "m": code.m,
         "generator": code.generator,
-        **report.properties.facts(),
+        "size": props.size,
+        "length": props.length,
+        "min_hamming_distance": props.min_hamming_distance,
+        "gc_content": props.gc_content,
+        "max_mu": props.max_shift_match,
         "mu_bound": report.mu_bound,
         "threshold": report.threshold,
+        "at_energy": report.params.at,
+        "gc_energy": report.params.gc,
         "energies": report.energies,
     }

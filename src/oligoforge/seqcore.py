@@ -227,14 +227,12 @@ def non_ascii_byte(line: str) -> str | None:
     return f"non-ASCII byte 0x{ord(ch) - 0xDC00:02x} at position {pos}"
 
 
-def read_sequence_file(path: str) -> list[DnaSequence]:
-    """Read sequences from a text file, one per line.
+def data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) of each line of a text file that holds data.
 
-    Blank lines and lines starting with '#' are skipped; surrounding
-    whitespace is stripped. Parse failures, a non-ASCII byte included,
-    report the path and line number.
+    Blank lines and lines starting with '#' are skipped. A non-ASCII byte
+    raises SequenceParseError naming the path and line.
     """
-    sequences = []
     # undecodable bytes become lone surrogates, reported per line below
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -242,12 +240,21 @@ def read_sequence_file(path: str) -> list[DnaSequence]:
             if problem is not None:
                 raise SequenceParseError(problem, path=path, line=lineno)
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                sequences.append(DnaSequence(line))
-            except SequenceParseError as exc:
-                raise SequenceParseError(str(exc), path=path, line=lineno) from None
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def read_sequence_file(path: str) -> list[DnaSequence]:
+    """Read sequences from a text file, one per data line (see data_lines).
+
+    Parse failures, a non-ASCII byte included, report the path and line number.
+    """
+    sequences = []
+    for lineno, line in data_lines(path):
+        try:
+            sequences.append(DnaSequence(line))
+        except SequenceParseError as exc:
+            raise SequenceParseError(str(exc), path=path, line=lineno) from None
     return sequences
 
 

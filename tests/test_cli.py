@@ -596,14 +596,36 @@ class TestConstruct:
         meta2 = (tmp_path / "b.txt.meta.json").read_bytes()
         assert meta1 == meta2
 
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    def test_dimension_below_two_is_checked_where_it_is_read(self, tmp_path, capsys, command):
+        # a usage error before any command runs, also with a generator given
+        argv = [command, "-m", "1", "--generator" if command == "construct" else "--input", "1"]
+        assert cli.main(argv) == 1
+        assert "argument -m: simplex dimension -m must be >= 2, got 1" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# dimension\nm=1\n")
+        assert cli.main([command, "--config", str(cfg), "--output", str(tmp_path / "x.txt")]) == 1
+        assert f"config value '1' is invalid for m ({cfg}:2)" in capsys.readouterr().err
+
+    def test_sidecar_records_the_energy_parameters(self, tmp_path, capsys):
+        out = tmp_path / "code.txt"
+        argv = ["construct", "-m", "2", "--output", str(out), "--at-energy", "-3", "--threshold", "-4"]
+        assert cli.main(argv) == 0
+        meta = json.loads((tmp_path / "code.txt.meta.json").read_text())
+        assert list(meta)[list(meta).index("threshold"):] == ["threshold", "at_energy", "gc_energy", "energies"]
+        assert (meta["threshold"], meta["at_energy"], meta["gc_energy"]) == (-4, -3, -2)
+
     def test_requires_dimension(self, capsys):
         assert cli.main(["construct", "--output", "x.txt"]) == 1
 
     def test_dimension_without_default_generator_is_usage_error(self, tmp_path, capsys):
-        for m in ("1", "9"):
+        for m, message in (
+            ("1", "argument -m: simplex dimension -m must be >= 2, got 1"),
+            ("9", "no default generator for dimension 9"),
+        ):
             rc = cli.main(["construct", "-m", m, "--output", str(tmp_path / "x.txt")])
             assert rc == 1
-            assert f"no default generator for dimension {m}" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         bad = "1" * 256 + "0" * 255
         rc = cli.main(["construct", "-m", "9", "--generator", bad, "--output", str(tmp_path / "x.txt")])
         assert rc == 3
@@ -656,6 +678,87 @@ class TestVerify:
         assert failures == [
             f"failure: {key}: declared {self.TAMPERED[key]}, recomputed {recomputed}"
         ]
+
+    def verify_tampered(self, tmp_path, capsys, change, *flags):
+        """Exit code, failure lines and stderr of verify on the m=3 code after change(sidecar)."""
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "3", "--output", str(out)]) == 0
+        meta_path = tmp_path / "code.txt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        change(meta)
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        rc = cli.main(["verify", "--input", str(out), *flags])
+        captured = capsys.readouterr()
+        return rc, [l for l in captured.out.splitlines() if l.startswith("failure:")], captured.err
+
+    @pytest.mark.parametrize("key,value,recomputed", [
+        ("threshold", -7, -2),
+        ("mu_bound", 0, 2),
+        ("at_energy", -3, -1),
+        ("gc_energy", 0, -2),
+    ])
+    def test_each_tampered_parameter_fails_alone(self, tmp_path, capsys, key, value, recomputed):
+        rc, failures, _ = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update({key: value}))
+        assert rc == 3
+        assert failures == [f"failure: {key}: declared {value}, recomputed {recomputed}"]
+
+    def test_tampered_energy_names_the_word(self, tmp_path, capsys):
+        rc, failures, _ = self.verify_tampered(
+            tmp_path, capsys, lambda meta: meta["energies"].update(GGGAGAA=-99)
+        )
+        assert rc == 3
+        assert failures == ["failure: energies[GGGAGAA]: declared -99, recomputed 0"]
+
+    def test_energies_compare_under_verify_flags(self, tmp_path, capsys):
+        # a sidecar without at_energy/gc_energy (an older file) is compared
+        # under verify's own flags; with them, the parameter is named first
+        def older(meta):
+            del meta["at_energy"], meta["gc_energy"]
+
+        assert self.verify_tampered(tmp_path, capsys, older)[:2] == (0, [])
+        rc, failures, _ = self.verify_tampered(tmp_path, capsys, older, "--at-energy", "-3")
+        assert rc == 3
+        assert failures and all(f.startswith("failure: energies[") for f in failures)
+        rc, named, _ = self.verify_tampered(tmp_path, capsys, lambda meta: None, "--at-energy", "-3")
+        assert rc == 3
+        assert named == ["failure: at_energy: declared -1, recomputed -3", *failures]
+
+    def test_unknown_sidecar_key_is_data_error(self, tmp_path, capsys):
+        rc, failures, err = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(bogus_key=1))
+        assert rc == 2
+        assert failures == []
+        assert err == f"oligoforge: error: {tmp_path / 'code.txt.meta.json'}: unknown sidecar key 'bogus_key'\n"
+
+    @pytest.mark.parametrize("generator,message", [
+        ("not-a-bit-string", "generator: generator must be a bit string, got 'not-a-bit-string'"),
+        ("1010101", "generator: shifts plus zero are not closed under XOR"),
+    ])
+    def test_sidecar_generator_must_be_a_simplex_generator(self, tmp_path, capsys, generator, message):
+        rc, failures, err = self.verify_tampered(
+            tmp_path, capsys, lambda meta: meta.update(generator=generator)
+        )
+        assert rc == 3
+        assert failures == []
+        assert err == f"oligoforge: error: {tmp_path / 'code.txt.meta.json'}: {message}\n"
+
+    @pytest.mark.parametrize("generator,failures", [
+        ("1001011", [f"failure: generator: {{path}} does not hold the code of 1001011"]),
+        ("1110100", []),
+        ("0111010", []),  # a rotation of the generator has the same code
+    ])
+    def test_file_must_hold_the_generator_code(self, tmp_path, capsys, generator, failures):
+        rc, found, _ = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(generator=generator))
+        assert found == [f.format(path=tmp_path / "code.txt") for f in failures]
+        assert rc == (3 if failures else 0)
+
+    def test_generator_without_dimension(self, tmp_path, capsys):
+        rc, _, err = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(m=None))
+        assert rc == 3
+        assert "code.txt.meta.json: generator: no m to check it against" in err
+        # -m supplies it
+        rc, failures, _ = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(m=None), "-m", "3")
+        assert (rc, failures) == (3, ["failure: m: declared None, recomputed 3"])
 
     def test_bound_violation_fails(self, tmp_path, capsys):
         path = tmp_path / "weak.txt"
@@ -813,6 +916,32 @@ class TestConfig:
         assert rc == 1
         assert capsys.readouterr().err.startswith("oligoforge: error: config value '1/0'")
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        write_lines(path, [TABLE_SEQ_1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold=-2\n# stricter\nthreshold=-9\n")
+        rc = cli.main(["screen", "--input", str(path), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert f"{cfg}:3: config key 'threshold' repeats the one at {cfg}:1" in captured.err
+        # two spellings of one option are one key
+        cfg.write_text("max_mu=1\nmax-mu=2\n")
+        assert cli.main(["screen", "--input", str(path), "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: config key 'max-mu' repeats the one at {cfg}:1" in capsys.readouterr().err
+
+    def test_invalid_value_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        write_lines(path, [TABLE_SEQ_1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s=2\n\nthreshold=abc\n")
+        rc = cli.main(["screen", "--input", str(path), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"oligoforge: error: config value 'abc' is invalid for threshold ({cfg}:3)\n"
+        )
+
     def test_config_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("config=other.cfg\n")
@@ -872,8 +1001,7 @@ class TestConfig:
 
 
 class TestOptionRanges:
-    # (command, dest, first value out of range, message); -m is left to the
-    # commands, so that construct -m 1 names the missing generator
+    # (command, dest, first value out of range, message)
     CASES = [
         ("enumerate", "s", "0", "shift depth must be >= 1, got 0"),
         ("screen", "s", "-3", "shift depth must be >= 1, got -3"),

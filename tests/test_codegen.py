@@ -13,6 +13,7 @@ from oligoforge.codegen import (
     code_metadata,
     code_properties,
     default_generator,
+    holds_simplex_code,
     load_dna_code,
     simplex_code,
     verify_code,
@@ -265,6 +266,21 @@ class TestRotationGroup:
         assert props.rotation_step == 1
         assert props.min_hamming_distance == 0
 
+    @settings(deadline=None, max_examples=200)
+    @given(words=rotation_sets())
+    def test_representatives_and_orbit_folding_on_any_multiset(self, words):
+        # the orbits of a partly closed set with repeated words: each distinct
+        # word lies in exactly one representative's orbit, and the orbit
+        # fills give every word's own energy, keyed in codeword order
+        props = code_properties(words)
+        step, distinct = props.rotation_step, list(dict.fromkeys(words))
+        orbits = [{rotate(r, k) for k in range(0, props.length, step)} for r in props.representatives]
+        assert sum(map(len, orbits)) == len(distinct)
+        assert set().union(*orbits) == set(distinct)
+        assert [r for r in distinct if r in props.representatives] == list(props.representatives)
+        report = verify_code(load_dna_code(words))
+        assert list(report.energies.items()) == [(w, min_free_energy(w)) for w in distinct]
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_simplex_codes_are_closed_under_every_rotation(self, m):
         assert build_dna_code(simplex_code(m)).properties.rotation_step == 1
@@ -351,6 +367,31 @@ class TestVerifyCode:
         assert report.properties.size == 225
         assert report.properties.max_shift_match <= 4
         assert report.mu_bound_met
+
+
+class TestHoldsSimplexCode:
+    def words(self, generator):
+        return [w.text for w in build_dna_code(simplex_code(3, generator)).codewords]
+
+    @pytest.mark.parametrize("change,holds", [
+        (lambda words: words, True),
+        (lambda words: words[::-1], True),  # order does not matter
+        (lambda words: words[:-1] + words[:1], False),  # one word twice, one missing
+        (lambda words: words + words[:1], False),
+        (lambda words: words * 2, False),
+        (lambda words: words[:-1], False),
+    ])
+    def test_multiset_of_the_generator_code(self, change, holds):
+        simplex = simplex_code(3, EXAMPLE_GENERATOR)
+        code = load_dna_code(change(self.words(EXAMPLE_GENERATOR)), m=3)
+        assert holds_simplex_code(code, simplex) is holds
+
+    def test_other_generator_and_rotated_generator(self):
+        code = load_dna_code(self.words(EXAMPLE_GENERATOR), m=3)
+        assert not holds_simplex_code(code, simplex_code(3, "1001011"))
+        # a rotated generator has the same shifts, hence the same code
+        assert holds_simplex_code(code, simplex_code(3, rotate(EXAMPLE_GENERATOR, 2)))
+        assert not holds_simplex_code(load_dna_code(self.words("1001011")), simplex_code(3))
 
 
 class TestDnaCodeType:

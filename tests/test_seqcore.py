@@ -336,6 +336,14 @@ class TestSequenceFiles:
         path.write_text("")
         assert read_sequence_file(str(path)) == []
 
+    def test_data_lines_number_the_lines_they_keep(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"# header\n\n  a = 1  \n\t\nb\n  # indented comment\n")
+        assert list(seqcore.data_lines(str(path))) == [(3, "a = 1"), (5, "b")]
+        path.write_bytes(b"ok\n\n# caf\xc3\xa9\n")
+        with pytest.raises(SequenceParseError, match=f"{path}:3: non-ASCII byte 0xc3 at position 6"):
+            list(seqcore.data_lines(str(path)))
+
 
 def test_oracle_complement_agrees_with_library():
     assert oracles.COMPLEMENT == seqcore.COMPLEMENT
