@@ -16,6 +16,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 
 from . import codegen, enumeration, folding, seqcore
 from .seqcore import SequenceParseError
@@ -269,7 +270,9 @@ def _screen_reason(q, gc_low, gc_high, depth, bound, args, params) -> str | None
         v = seqcore.packed_mu(even, odd, n, i)
         if v > bound:
             return f"mu_{i} {v}"
-    if args.threshold is not None:
+    # a word whose base counts bound its energy above the threshold cannot
+    # fold at or below it, so it passes without a fill; the output is the same
+    if args.threshold is not None and folding.packed_energy_bound(even, odd, n, params) <= args.threshold:
         energy = folding.min_free_energy(q, params)
         if energy <= args.threshold:
             return f"energy {energy}"
@@ -417,15 +420,16 @@ def _load_sidecar(path: str) -> dict:
 
 def _differences(key: str, declared, recomputed) -> list[str]:
     """One line per declared value that differs from the recomputed one;
-    a dict of per-word values is compared word by word."""
-    if declared == recomputed:
-        return []
+    a dict of per-word values is compared word by word, and other values
+    match only with equal JSON types (9.0 is not 9, nor false 0)."""
     if isinstance(declared, dict) and isinstance(recomputed, dict):
-        return [
+        return [  # the keys of both, without a merged copy of a per-word dict
             line
-            for w in {**recomputed, **declared}
+            for w in chain(recomputed, (w for w in declared if w not in recomputed))
             for line in _differences(f"{key}[{w}]", declared.get(w), recomputed.get(w))
         ]
+    if type(declared) is type(recomputed) and declared == recomputed:
+        return []
     return [f"{key}: declared {declared}, recomputed {recomputed}"]
 
 

@@ -245,6 +245,9 @@ def has_structure(
     """
     if threshold > 0:
         raise ValueError("threshold must be <= 0")
+    params = params or DEFAULT_ENERGY_PARAMS
+    if packed_energy_bound(*packed_image(q), len(q), params) > threshold:
+        return False
     return min_free_energy(q, params) <= threshold
 
 
@@ -300,6 +303,22 @@ def packed_linear_energy(
         gc = (match & even).bit_count()
         total += gamma * (params.at * (match.bit_count() - gc) + params.gc * gc)
     return total
+
+
+def packed_energy_bound(even: int, odd: int, n: int, params: EnergyParams) -> int:
+    """Lower bound on the minimum free energy of the word with packed image
+    (even, odd) and length n: at * min(#A, #T) + gc * min(#C, #G).
+
+    Every pair is A-T or C-G, so no structure has more of them than that.
+    G is the base with both bits set, C has the even bit alone and T the
+    odd bit alone. A word whose bound is above a threshold cannot fold at
+    or below it, so screen and has_structure skip its fill; what they
+    report does not change.
+    """
+    g = (even & odd).bit_count()
+    c = even.bit_count() - g
+    t = odd.bit_count() - g
+    return params.at * min(n - g - c - t, t) + params.gc * min(c, g)
 
 
 def linear_energy(

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from oligoforge import cli, enumeration, folding
 from oligoforge.codegen import build_dna_code, simplex_code
-from oligoforge.seqcore import gc_content, mu
+from oligoforge.seqcore import gc_content, mu, packed_image
 
 import oracles
 from fixtures import TABLE_1, TABLE_2, TABLE_SEQ_1, TABLE_SEQ_2
@@ -337,6 +338,36 @@ class TestScreen:
             else:
                 assert rc == 0
                 assert (out.read_text(), log.read_text()) == expected
+
+    # the benchmark pool's limits; other limits and pair energies; zero pair
+    # energies, where every word's bound is the threshold 0 and every word folds
+    SEEDED_LIMITS = [
+        {"gc_min": 6, "gc_max": 18, "s": 2, "max_mu": 8, "threshold": -14, "approx_threshold": -12},
+        {"gc_min": 4, "s": 1, "max_mu": 5, "threshold": -20, "at_energy": -2, "gc_energy": -3},
+        {"at_energy": 0, "gc_energy": 0, "threshold": 0},
+    ]
+
+    @pytest.mark.parametrize("limits", SEEDED_LIMITS)
+    def test_seeded_pool_matches_reference_that_always_folds(self, tmp_path, limits):
+        rng = random.Random(20)
+        words = ["".join(rng.choices("ACGT", k=rng.randint(14, 30))) for _ in range(300)]
+        expected = screen_reference(words, limits)
+        path, out, log = (tmp_path / name for name in ("in.txt", "kept.txt", "log.txt"))
+        write_lines(path, words)
+        argv = ["screen", "--input", str(path), "--output", str(out), "--log", str(log)]
+        for dest, value in limits.items():
+            argv += [cli.OPTIONS[dest][0][0], str(value)]
+        assert cli.main(argv) == 0
+        assert (out.read_text(), log.read_text()) == expected
+        # words reach the energy test on both sides of the bound (only on the
+        # threshold with zero energies), and some fold at or below it
+        reasons = dict(line.split("\trejected\t") for line in expected[1].splitlines())
+        reached = [w for w in words if not reasons.get(w, "").startswith(("GC", "mu"))]
+        params = folding.EnergyParams(limits.get("at_energy", -1), limits.get("gc_energy", -2))
+        bounds = [folding.packed_energy_bound(*packed_image(w), len(w), params) for w in reached]
+        settled = sum(bound > limits["threshold"] for bound in bounds)
+        assert 0 < settled < len(bounds) if limits["threshold"] < 0 else settled == 0
+        assert any(reason.startswith("energy") for reason in reasons.values())
 
 
 def screen_reference(words, limits):
@@ -702,6 +733,26 @@ class TestVerify:
         rc, failures, _ = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update({key: value}))
         assert rc == 3
         assert failures == [f"failure: {key}: declared {value}, recomputed {recomputed}"]
+
+    @pytest.mark.parametrize("key,value", [("size", 9.0), ("gc_content", 2.0), ("threshold", False), (None, None)])
+    def test_sidecar_values_match_only_with_their_json_type(self, tmp_path, capsys, key, value):
+        # the m=2 code has 9 words of GC-content 2; it is written and verified at threshold 0
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "2", "--threshold", "0", "--output", str(out)]) == 0
+        meta_path = tmp_path / "code.txt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        recomputed = meta.get(key)
+        if key is not None:
+            meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        rc = cli.main(["verify", "--input", str(out), "--threshold", "0"])
+        failures = [l for l in capsys.readouterr().out.splitlines() if l.startswith("failure:")]
+        if key is None:
+            assert (rc, failures) == (0, [])
+        else:
+            assert rc == 3
+            assert failures == [f"failure: {key}: declared {value}, recomputed {recomputed}"]
 
     def test_tampered_energy_names_the_word(self, tmp_path, capsys):
         rc, failures, _ = self.verify_tampered(

@@ -18,6 +18,7 @@ from oligoforge.folding import (
     linear_energy,
     min_free_energy,
     nussinov_table,
+    packed_energy_bound,
     packed_linear_energy,
     rotation_energies,
     traceback,
@@ -275,6 +276,46 @@ class TestHasStructure:
 
     def test_default_threshold(self):
         assert DEFAULT_STRUCTURE_THRESHOLD == -2
+
+    @settings(deadline=None)
+    @given(
+        word=st.text(alphabet="ACGT", min_size=1, max_size=40),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+        threshold=st.integers(min_value=-20, max_value=0),
+    )
+    def test_verdict_is_the_energy_at_or_below_the_threshold(self, word, at, gc, threshold):
+        # the base-count bound settles some words without a fill; the verdict is the same
+        params = EnergyParams(at, gc)
+        assert has_structure(word, params, threshold) is (min_free_energy(word, params) <= threshold)
+
+
+class TestPackedEnergyBound:
+    @settings(deadline=None)
+    @given(
+        word=st.text(alphabet="ACGT", min_size=1, max_size=40),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+    )
+    def test_base_counts_bound_the_energy(self, word, at, gc):
+        params = EnergyParams(at, gc)
+        bound = packed_energy_bound(*packed_image(word), len(word), params)
+        count = word.count
+        assert bound == at * min(count("A"), count("T")) + gc * min(count("C"), count("G"))
+        assert bound <= min_free_energy(word, params)
+
+    @pytest.mark.parametrize("at,gc", itertools.product([-3, -1, 0], [-2, 0]))
+    @pytest.mark.parametrize("alphabet", ["AT", "CG"])
+    def test_exact_on_two_complementary_bases(self, alphabet, at, gc):
+        # a word holding both bases has them side by side somewhere: pairing
+        # those two and repeating on the rest nests min(#x, #y) pairs
+        params = EnergyParams(at, gc)
+        for n in range(1, 13):
+            for letters in itertools.product(alphabet, repeat=n):
+                word = "".join(letters)
+                assert packed_energy_bound(*packed_image(word), n, params) == min_free_energy(
+                    word, params
+                ), word
 
 
 class TestLinearEnergyModel:
