@@ -170,6 +170,11 @@ def _rotation_orbits(texts: list[str], length: int) -> tuple[int, tuple[str, ...
     return step, tuple(representatives)
 
 
+def _rotate(image: int, k: int, length: int) -> int:
+    """Packed image of a length-base word rotated left by k, 0 <= k <= length."""
+    return (image << k | image >> length - k) & ((1 << length) - 1)
+
+
 def code_properties(codewords) -> CodeProperties:
     """Compute the metadata of an arbitrary equal-length codeword set.
 
@@ -184,6 +189,11 @@ def code_properties(codewords) -> CodeProperties:
     representative. Representatives are compared with each other once and
     with every other word; when the group is trivial every word is a
     representative and this is the plain loop over all pairs.
+
+    The maximum mu_i reads the representatives alone: a linear shift-i pair
+    of a rotation of w is a cyclic one of w, so the mu_i of w's orbit are at
+    most cmu(w, i) = popcount(~(E ^ rot_i E) & (O ^ rot_i O)), and the
+    rotations are counted only where cmu exceeds the maximum so far.
     """
     words = [DnaSequence(w) for w in codewords]
     if not words:
@@ -205,10 +215,16 @@ def code_properties(codewords) -> CodeProperties:
                 min_distance = d
     gc_values = tuple(sorted({e.bit_count() for e, _ in ordered}))
     common_gc = gc_values[0] if len(gc_values) == 1 else None
-    max_mu = max(
-        (packed_mu(e, o, length, i) for e, o in ordered for i in range(1, length)),
-        default=0,
-    )
+    max_mu = 0
+    for e, o in ordered[: len(representatives)]:
+        for i in range(1, length):
+            cyclic = ~(e ^ _rotate(e, i, length)) & (o ^ _rotate(o, i, length))
+            if cyclic.bit_count() <= max_mu:
+                continue
+            for k in range(0, length, step):
+                max_mu = max(
+                    max_mu, packed_mu(_rotate(e, k, length), _rotate(o, k, length), length, i)
+                )
     return CodeProperties(
         size=len(words),
         length=length,
@@ -252,8 +268,18 @@ def build_dna_code(code: SimplexCode) -> DnaCode:
     giving (2^m - 1)^2 distinct words, since the shifts are distinct;
     ordering follows the shift order of the generator, even component
     outermost.
+
+    Codeword k is the generator rotated left by k, so the word of
+    (c_a, c_b) is the word of (c_0, c_(b-a mod n)) rotated left by a. Only
+    the n words with even component c_0 are decoded; the rest are slices.
     """
-    words = [sequence_from_even_odd(even, odd) for even in code.codewords for odd in code.codewords]
+    n = code.n
+    firsts = [sequence_from_even_odd(code.generator, odd).text for odd in code.codewords]
+    words = [
+        DnaSequence(w[a:] + w[:a])
+        for a in range(n)
+        for w in firsts[n - a :] + firsts[: n - a]
+    ]
     return DnaCode(tuple(words), m=code.m, generator=code.generator)
 
 

@@ -99,19 +99,21 @@ def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
                           E[i][k-1] + (E[k+1][j-1] + alpha(q_k, q_j)))
 
     Rows run from i = n-1 down to 1 and j runs upward. The bracketed term
-    is fixed once row k+1 is filled, so it joins column j's candidate list
-    when row k is reached, and each cell scans only the complementary
-    partners of j (about a quarter of the positions). A cell within the
-    span reads only cells within it, and a candidate is read only by rows
-    i >= j - span + 1, so row k appends partners j < k + span alone.
+    is fixed once row k+1 is filled, and each cell scans only column j's
+    candidate list, sparsified as by Wexler, Zilberstein & Ziv-Ukelson
+    (J. Comput. Biol. 2007) and Backofen, Tsur, Zakov & Ziv-Ukelson
+    (J. Discrete Algorithms 2011): in row k, (k, j) joins it only when its
+    term is below every other value of cell (k, j), E[k][j-1] or a listed
+    E[k][k'-1] + term'. Otherwise, as E[i][k-1] + E[k][x] >= E[i][x] (two
+    structures side by side form one), every row i <= k already has a value
+    at most E[i][k-1] + term, so the table is the same cell for cell. A
+    cell within the span reads only cells within it, so row k stops at
+    column k + span - 1.
     """
     n = len(s)
     alpha = params._alpha
-    # positions j (descending) that pair with base x, and the pair energy
-    partners = {
-        x: [(j, a) for j in range(n, 0, -1) if (a := alpha[x + s[j - 1]]) < 0]
-        for x in set(s)
-    }
+    # pair energy of base x with each position j (index 0 unused)
+    pairing = {x: [0] + [alpha[x + y] for y in s] for x in set(s)}
     grid = [[0] * (n + 1) for _ in range(n + 1)]
     candidates = [[] for _ in range(n + 1)]  # column j: (k-1, E[k+1][j-1] + alpha)
     for i in range(n - 1, 0, -1):
@@ -120,17 +122,16 @@ def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
         end = i + span  # columns i+1 .. end-1 are filled
         if end > n:
             end = n + 1
-        for j, a in partners[s[i - 1]]:
-            if j <= i:
-                break
-            if j < end:
-                candidates[j].append((i - 1, below[j - 1] + a))
         best = 0  # E[i][i]
-        for j in range(i + 1, end):
-            for left, c in candidates[j]:
+        for j, a in enumerate(pairing[s[i - 1]][i + 1 : end], i + 1):
+            column = candidates[j]
+            for left, c in column:
                 c += row[left]
                 if c < best:
                     best = c
+            if a and (term := below[j - 1] + a) < best:
+                column.append((i - 1, term))
+                best = term
             row[j] = best
     return grid
 

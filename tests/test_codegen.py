@@ -19,7 +19,7 @@ from oligoforge.codegen import (
     verify_code,
 )
 from oligoforge.folding import EnergyParams, min_free_energy
-from oligoforge.seqcore import DnaSequence, binary_image, gc_content, mu
+from oligoforge.seqcore import DnaSequence, binary_image, gc_content, mu, sequence_from_even_odd
 
 import oracles
 from fixtures import (
@@ -159,6 +159,17 @@ class TestBuildDnaCode:
         second = build_dna_code(simplex_code(3))
         assert [w.text for w in first.codewords] == [w.text for w in second.codewords]
 
+    @pytest.mark.parametrize(
+        "m,generator",
+        [(m, None) for m in range(2, 8)]
+        + [(3, "1001011"), (5, default_generator(5)[7:] + default_generator(5)[:7])],
+    )
+    def test_words_slice_in_the_order_of_decoding_every_pair(self, m, generator):
+        simplex = simplex_code(m, generator)
+        shifts = simplex.codewords
+        decoded = [sequence_from_even_odd(e, o) for e in shifts for o in shifts]
+        assert list(build_dna_code(simplex).codewords) == decoded
+
 
 class TestCodeProperties:
     def test_reference_code_metadata(self):
@@ -243,6 +254,22 @@ class TestRotationGroup:
         props = code_properties(words)
         assert props.rotation_step == brute_rotation_step(words)
         assert props.min_hamming_distance == oracles.naive_min_distance(words)
+
+    @settings(deadline=None, max_examples=300)
+    @given(words=rotation_sets())
+    def test_pruned_max_mu_matches_every_word_and_shift(self, words):
+        n = len(words[0])
+        expected = max(oracles.direct_mu(w, i) for w in words for i in range(1, n))
+        assert code_properties(words).max_shift_match == expected
+
+    def test_max_mu_reached_only_off_the_representatives(self):
+        # the orbit of AAAATT: mu maxima 2, 3, 4, 3, 2, 2 by rotation, so the
+        # code's 4 lies at rotation 2 alone, above the representative's 2
+        words = [rotate("AAAATT", k) for k in range(6)]
+        props = code_properties(words)
+        assert props.representatives == ("AAAATT",)
+        assert max(oracles.direct_mu("AAAATT", i) for i in range(1, 6)) == 2
+        assert props.max_shift_match == 4
 
     def test_proper_subgroup(self):
         # n = 9, closed under rotation by 3 but not by 1

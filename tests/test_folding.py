@@ -11,6 +11,7 @@ from oligoforge.folding import (
     EnergyParams,
     EnergyTable,
     LinearEnergyModel,
+    _fill,
     dot_bracket,
     format_table_csv,
     format_table_text,
@@ -205,6 +206,34 @@ class TestRotationEnergies:
     def test_rotations_must_stay_below_the_length(self, step, count):
         with pytest.raises(ValueError, match="must stay below 6"):
             rotation_energies("GACGTC", step, count)
+
+
+class TestSparseFill:
+    """The sparsified, span-limited fill against the split recursion."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        word=st.text(alphabet="ACGT", min_size=1, max_size=60),
+        at=st.integers(min_value=-3, max_value=0),
+        gc=st.integers(min_value=-3, max_value=0),
+        data=st.data(),
+    )
+    def test_every_windowed_cell_and_traceback(self, word, at, gc, data):
+        n = len(word)
+        step = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        count = data.draw(st.integers(min_value=1, max_value=n // step))
+        params = EnergyParams(at, gc)
+        arc = (word + word)[: n + (count - 1) * step]
+        grid = oracles.split_fill(arc, at, gc)
+        # the fill rotation_energies makes: spans below n over the arc
+        filled = _fill(arc, params, n)
+        for i in range(1, len(arc) + 1):
+            for j in range(i, min(i + n, len(arc) + 1)):
+                assert filled[i][j] == grid[i][j], (i, j)
+        windows = [grid[k * step + 1][k * step + n] for k in range(count)]
+        assert rotation_energies(word, step, count, params) == windows
+        structure = traceback(nussinov_table(word, params), word, params)
+        assert structure.energy == min_free_energy(word, params) == windows[0]
 
 
 class TestTraceback:
