@@ -204,13 +204,15 @@ def _fold_blocks(sequences, params):
         yield q, table, structure
 
 
-def _json_rows(rows) -> str:
-    """Non-empty rows of ints and '*' as json.dumps(records, indent=2) lays
-    out the value of a record's key: rows at six spaces, cells at eight."""
+_CELL = ",\n        "
+
+
+def _json_rows(rows: list[str]) -> str:
+    """Rows, each its cells joined by _CELL, as json.dumps(records, indent=2)
+    lays out the value of a record's key: rows at six spaces, cells at eight."""
     if not rows:
         return "[]"
-    cells = "\n      ],\n      [\n        ".join(",\n        ".join(map(str, row)) for row in rows)
-    return ("[\n      [\n        " + cells + "\n      ]\n    ]").replace("*", '"*"')
+    return "[\n      [\n        " + "\n      ],\n      [\n        ".join(rows) + "\n      ]\n    ]"
 
 
 def cmd_fold(args) -> int:
@@ -225,14 +227,20 @@ def cmd_fold(args) -> int:
             out.write("[")
             for count, (q, table, structure) in enumerate(_fold_blocks(sequences, params)):
                 energy = table.min_free_energy
+                pairs = [f"{i}{_CELL}{j}" for i, j in structure.sorted_pairs()]
+                # row i of cells(): i-2 '*' cells, then table.row(i)
+                rows = [
+                    ('"*"' + _CELL) * (i - 2) + _CELL.join(map(str, table.row(i)))
+                    for i in range(1, table.n + 1)
+                ]
                 out.write(
                     f'{"," if count else ""}\n  {{\n    "sequence": "{q.text}",\n'
                     f'    "min_free_energy": {energy},\n'
                     f'    "has_structure": {"true" if energy <= args.threshold else "false"},\n'
                     f'    "threshold": {args.threshold},\n'
-                    f'    "pairs": {_json_rows(structure.sorted_pairs())},\n'
+                    f'    "pairs": {_json_rows(pairs)},\n'
                     f'    "dot_bracket": "{folding.dot_bracket(structure, table.n)}",\n'
-                    f'    "table": {_json_rows(table.cells())}\n  }}'
+                    f'    "table": {_json_rows(rows)}\n  }}'
                 )
             out.write("\n]\n" if sequences else "]\n")
         else:
@@ -357,8 +365,8 @@ def cmd_count(args) -> int:
                 f"{n}\t{w}",
                 series.coefficient(n, w),
                 n,
-                # only the even images of weight w reach the odd test
-                lambda even, n, w=w: mu1_zero(even, n) if even.bit_count() == w else None,
+                # only the even images of weight w get a mask of odd images
+                lambda even, n, w=w: mu1_zero(even, n) if even.bit_count() == w else 0,
             )
             for n in range(1, args.n + 1)
             for w in range(n + 1)

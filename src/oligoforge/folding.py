@@ -9,6 +9,7 @@ simpler screening score in ``linear_energy`` uses exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,12 +76,13 @@ class EnergyTable:
             raise IndexError(f"no entry ({i},{j}) in a table of size {self.n}")
         return self._grid[i][j]
 
+    def row(self, i: int) -> list[int]:
+        """value(i, j) for j = max(1, i-1)..n."""
+        return self._grid[i][max(1, i - 1) : self.n + 1]
+
     def cells(self) -> list[list[int | str]]:
         """The n x n grid: cells()[i-1][j-1] is value(i, j), or '*' below j = i-1."""
-        n, grid = self.n, self._grid
-        return [
-            [grid[i][j] if j >= i - 1 else "*" for j in range(1, n + 1)] for i in range(1, n + 1)
-        ]
+        return [["*"] * (i - 2) + self.row(i) for i in range(1, self.n + 1)]
 
     @property
     def min_free_energy(self) -> int:
@@ -256,10 +258,11 @@ class LinearEnergyModel:
     """Weighted sum of pairing energies along the first few diagonals.
 
     kappa is a constant offset; gammas must be positive and non-increasing,
-    one weight per shift distance starting at 1.
+    one weight per shift distance starting at 1. offset and weights are
+    kappa and the gammas times scale, their least common denominator.
     """
 
-    __slots__ = ("kappa", "gammas")
+    __slots__ = ("kappa", "gammas", "scale", "offset", "weights")
 
     def __init__(self, kappa=0, gammas=(1,)):
         gammas = tuple(Fraction(g) for g in gammas)
@@ -271,6 +274,9 @@ class LinearEnergyModel:
             raise ValueError("gamma weights must be non-increasing")
         self.kappa = Fraction(kappa)
         self.gammas = gammas
+        self.scale = math.lcm(self.kappa.denominator, *(g.denominator for g in gammas))
+        self.offset = int(self.kappa * self.scale)
+        self.weights = tuple(int(g * self.scale) for g in gammas)
 
     @property
     def depth(self) -> int:
@@ -297,13 +303,14 @@ def packed_linear_energy(
     alpha is nonzero only on complementary pairs: the set bits of match =
     ~(E ^ E>>d) & (O ^ O>>d) & mask(n-d), as in seqcore.packed_mu. Both bases
     of such a pair share their even bit, so the G-C pairs are those in E.
+    The sum runs in ints, over the model's common denominator.
     """
-    total = model.kappa
-    for d, gamma in zip(range(1, n), model.gammas):
+    total = model.offset
+    for d, weight in zip(range(1, n), model.weights):
         match = ~(even ^ even >> d) & (odd ^ odd >> d) & ((1 << n - d) - 1)
         gc = (match & even).bit_count()
-        total += gamma * (params.at * (match.bit_count() - gc) + params.gc * gc)
-    return total
+        total += weight * (params.at * (match.bit_count() - gc) + params.gc * gc)
+    return Fraction(total, model.scale)
 
 
 def packed_energy_bound(even: int, odd: int, n: int, params: EnergyParams) -> int:

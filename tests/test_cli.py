@@ -538,13 +538,8 @@ class TestCount:
             stage = real(s)
 
             def predicate(even, n):
-                test = stage(even, n)
-
-                def counted(odd):
-                    calls[n] = calls.get(n, 0) + 1
-                    return test(odd)
-
-                return counted
+                calls.setdefault(n, []).append(even)
+                return stage(even, n)
 
             return predicate
 
@@ -557,11 +552,13 @@ class TestCount:
             census = oracles.census_mu1zero_by_gc(n)
             weights = range(n + 1) if w is None else [w] if w <= n else []
             assert {gc: oracle[n, gc] for gc in weights} == {gc: census.get(gc, 0) for gc in weights}
-            # each row tests only the even images of its weight
-            expected_calls = sum(math.comb(n, gc) for gc in weights) * 2**n
-            assert calls.get(n, 0) == expected_calls
+            # each row runs the stage once on each even image of its weight,
+            # whose mask tests all 2^n odd images: comb(n, w) calls a row
+            evens = calls.get(n, [])
+            assert sorted(evens) == [e for e in range(2**n) if e.bit_count() in weights]
+            assert len(evens) == sum(math.comb(n, gc) for gc in weights)
             if w is None:
-                assert expected_calls == 4**n
+                assert len(evens) == 2**n
 
     def test_requires_exactly_one_mode(self, capsys):
         assert cli.main(["count", "-n", "3"]) == 1

@@ -61,31 +61,40 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_walks_every_word_once(self, n):
-        seen = []
+        evens = []
 
         def record(even, length):
-            def test(odd):
-                seen.append(sequence_from_even_odd(f"{even:0{length}b}", f"{odd:0{length}b}").text)
-                return True
+            evens.append(even)
+            return (1 << (1 << length)) - 1
 
-            return test
-
+        # each even image is asked once, and its 2^n odd images all count
         assert count_brute_force(n, record) == 4**n
-        assert sorted(seen) == sorted(oracles.all_words(n))
+        assert sorted(evens) == list(range(1 << n))
+        # a mask holding one word's bit counts that word, once
+        for word in oracles.all_words(n):
+            even, odd = packed_image(word)
+            assert count_brute_force(n, lambda e, length: 1 << odd if e == even else 0) == 1, word
 
-    def test_none_rejects_every_odd_image(self):
+    def test_zero_mask_rejects_every_odd_image(self):
         # a predicate passing only even image 0 counts its 2^n odd images
-        assert count_brute_force(3, lambda even, n: None if even else (lambda odd: True)) == 8
+        assert count_brute_force(3, lambda even, n: 0 if even else (1 << (1 << n)) - 1) == 8
+
+    def test_counts_at_the_cap(self):
+        n = DEFAULT_ORACLE_CAP
+        for s in range(1, 5):
+            assert count_brute_force(n, mu_zero_predicate(s)) == g_recursive(s, n), s
+        assert count_brute_force(n, complement_free_predicate()) == g_boundary(n)
+        for m in range(n):
+            assert count_brute_force(n, mu1_equals_predicate(m)) == count_mu1(n, m), m
 
 
 WORDS = st.text(alphabet="ACGT", min_size=1, max_size=12)
 
 
 def staged(predicate, word: str) -> bool:
-    """predicate(even, n)(odd) on word's packed image; a None stage rejects."""
+    """Bit odd of predicate(even, n), the mask of word's even image."""
     even, odd = packed_image(word)
-    test = predicate(even, len(word))
-    return test is not None and test(odd)
+    return bool(predicate(even, len(word)) >> odd & 1)
 
 
 class TestPackedPredicates:
@@ -106,6 +115,26 @@ class TestPackedPredicates:
     def test_complement_free(self, word):
         expected = not any(oracles.COMPLEMENT[b] in word for b in word)
         assert staged(complement_free_predicate(), word) == expected
+
+    @given(n=st.integers(min_value=1, max_value=9), data=st.data())
+    def test_every_bit_of_a_mask(self, n, data):
+        even = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="even")
+        s = data.draw(st.integers(min_value=1, max_value=n + 2), label="s")
+        m = data.draw(st.integers(min_value=0, max_value=n), label="m")
+        masks = [
+            mu_zero_predicate(s)(even, n),
+            mu1_equals_predicate(m)(even, n),
+            complement_free_predicate()(even, n),
+        ]
+        for odd in range(1 << n):
+            word = sequence_from_even_odd(f"{even:0{n}b}", f"{odd:0{n}b}").text
+            expected = [
+                all(oracles.direct_mu(word, i) == 0 for i in range(1, min(s, n - 1) + 1)),
+                oracles.direct_mu(word, 1) == m,
+                not any(oracles.COMPLEMENT[b] in word for b in word),
+            ]
+            assert [bool(mask >> odd & 1) for mask in masks] == expected, (word, s, m)
+        assert all(mask >> (1 << n) == 0 for mask in masks)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_match_a_walk_over_every_word(self, n):
