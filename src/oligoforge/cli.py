@@ -268,27 +268,30 @@ def cmd_fold(args) -> int:
 # ---------------------------------------------------------------- screen
 
 
-def _screen_reason(q, gc_low, gc_high, depth, bound, args, params) -> str | None:
-    n = len(q)
-    even, odd = seqcore.packed_image(q)
-    gc = even.bit_count()
-    if not gc_low <= gc <= gc_high:
-        return f"GC {gc}"
-    for i in range(1, min(depth + 1, n)):
-        v = seqcore.packed_mu(even, odd, n, i)
-        if v > bound:
-            return f"mu_{i} {v}"
-    # a word whose base counts bound its energy above the threshold cannot
-    # fold at or below it, so it passes without a fill; the output is the same
-    if args.threshold is not None and folding.packed_energy_bound(even, odd, n, params) <= args.threshold:
-        energy = folding.min_free_energy(q, params)
-        if energy <= args.threshold:
-            return f"energy {energy}"
-    if args.approx_threshold is not None:
-        score = folding.packed_linear_energy(even, odd, n, folding.DEFAULT_LINEAR_MODEL, params)
-        if score <= args.approx_threshold:
-            return f"approx_energy {score}"
-    return None
+def _screen_verdicts(sequences, gc_low, gc_high, depth, bound, threshold, params):
+    """(q, even, odd, reason, fold) per word: reason names a failed GC or mu
+    limit, else is None, and fold says whether q's energy must be filled."""
+    for q in sequences:
+        n = len(q)
+        even, odd = seqcore.packed_image(q)
+        gc = even.bit_count()
+        reason = None
+        if not gc_low <= gc <= gc_high:
+            reason = f"GC {gc}"
+        else:
+            for i in range(1, min(depth + 1, n)):
+                v = seqcore.packed_mu(even, odd, n, i)
+                if v > bound:
+                    reason = f"mu_{i} {v}"
+                    break
+        # a word whose base counts bound its energy above the threshold
+        # cannot fold at or below it, so it passes without a fill
+        fold = (
+            reason is None
+            and threshold is not None
+            and folding.packed_energy_bound(even, odd, n, params) <= threshold
+        )
+        yield q, even, odd, reason, fold
 
 
 def cmd_screen(args) -> int:
@@ -309,9 +312,20 @@ def cmd_screen(args) -> int:
     bound = args.max_mu or 0
     params = _energy_params(args)
     sequences = seqcore.read_sequence_file(args.input)
+    limits = (low, high, depth, bound, args.threshold, params)
+    # the verdicts are recomputed rather than kept: a word's packed image
+    # would outweigh its text
+    folded = [q for q, *_, fold in _screen_verdicts(sequences, *limits) if fold]
+    energies = iter(folding.min_free_energies(folded, params))
     with _open_out(args.log, "stderr") as log, _open_out(args.output) as out:
-        for q in sequences:
-            reason = _screen_reason(q, low, high, depth, bound, args, params)
+        for q, even, odd, reason, fold in _screen_verdicts(sequences, *limits):
+            if fold and (energy := next(energies)) <= args.threshold:
+                reason = f"energy {energy}"
+            if reason is None and args.approx_threshold is not None:
+                n, model = len(q), folding.DEFAULT_LINEAR_MODEL
+                score = folding.packed_linear_energy(even, odd, n, model, params)
+                if score <= args.approx_threshold:
+                    reason = f"approx_energy {score}"
             if reason is None:
                 out.write(q.text + "\n")
             else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .seqcore import DnaSequence, _text, packed_image
 
@@ -173,6 +174,86 @@ def rotation_energies(
 def min_free_energy(q: DnaSequence | str, params: EnergyParams | None = None) -> int:
     """Minimum energy of q over all non-crossing complementary pairings."""
     return nussinov_table(q, params).min_free_energy
+
+
+def min_free_energies(words, params: EnergyParams | None = None) -> list[int]:
+    """[min_free_energy(q, params) for q in words], filled a length at a time.
+
+    The words of one length n, if there are at least n of them, share one
+    fill over packed ints (bit slicing, Biham 1997; SIMD within a register,
+    Fisher & Dietz 1998): lane l of each int holds word l's score S = -E in
+    b = bit_length(floor(n/2) * max(-at, -gc)) + 1 bits, the top one a guard
+    bit. The fill is _fill's recursion in scores, over every k in every lane,
+
+        S[i][j] = max(S[i][j-1],
+                      max over i <= k < j of S[i][k-1] + S[k+1][j-1] + w(q_k, q_j)),
+
+    with the pair weight w = -alpha read from one-hot base masks per
+    position. It is exact in every lane. A pair's sum is the score of a
+    structure within i..j. A non-pair adds 0, and its sum scores a
+    structure within i..j-1, so it never beats S[i][j-1]. No sum exceeds
+    the best structure's score, at most floor(n/2) pairs of the larger
+    weight, so every sum fits below the guard bit and no lane carries into
+    the next. The lane-wise max subtracts the best from the candidate with
+    its guard bits set: a lane keeps its guard bit exactly where the
+    candidate is at least the best, and only those lanes add the difference.
+
+    A group costs ~n^3/6 packed operations against n sparse fills, so a
+    group of fewer than n words keeps the sparse fill of min_free_energy.
+    """
+    params = params or DEFAULT_ENERGY_PARAMS
+    texts = [_text(q) for q in words]
+    groups: dict[int, list[int]] = {}
+    for index, s in enumerate(texts):
+        groups.setdefault(len(s), []).append(index)
+    energies = [0] * len(texts)
+    for n, indices in groups.items():
+        group = [texts[index] for index in indices]
+        if len(group) >= n:
+            values = _lane_energies(group, n, params)
+        else:
+            values = [min_free_energy(s, params) for s in group]
+        for index, energy in zip(indices, values):
+            energies[index] = energy
+    return energies
+
+
+def _lane_energies(texts: list[str], n: int, params: EnergyParams) -> list[int]:
+    """E[1][n] of each of texts, all of length n, from one fill in lanes
+    (see min_free_energies). Word 0 sits in the highest lane."""
+    at, gc = -params.at, -params.gc
+    bits = ((n // 2) * max(at, gc)).bit_length()  # below the guard bit
+    width = bits + 1
+    lanes = len(texts)
+    guard = int(("1" + "0" * bits) * lanes, 2)
+    # position p's bases, one per lane, "0" filling the bits above bit 0
+    columns = [("0" * bits).join(column) for column in zip(*texts)]
+    # one-hot base masks: bit 0 of lane l set where word l has the base at p
+    a, c, g, t = (
+        [0] + [int(column.translate(one_hot), 2) for column in columns]
+        for one_hot in map(str.maketrans, ("ACGT",) * 4, ("1000", "0100", "0010", "0001"))
+    )
+    # rows[i][col - i + 1] = S[i][col] for col = i-1 .. the last column filled
+    rows = [[0, 0] for _ in range(n + 1)]
+    for j in range(2, n + 1):
+        # terms[k] = S[k+1][j-1] + w(q_k, q_j), guard bits set
+        terms = [0] + [
+            rows[k + 1][j - 1 - k]
+            + guard
+            + at * (a[k] & t[j] | t[k] & a[j])
+            + gc * (c[k] & g[j] | g[k] & c[j])
+            for k in range(1, j)
+        ]
+        for i in range(1, j):
+            row = rows[i]
+            best = row[-1]  # S[i][j-1]
+            for candidate in map(add, row, terms[i:]):  # row[k-i] = S[i][k-1]
+                d = candidate - best
+                kept = d & guard
+                best += d & (kept - (kept >> bits))
+            row.append(best)
+    packed = format(rows[1][n], f"0{lanes * width}b")
+    return [-int(packed[p : p + width], 2) for p in range(0, lanes * width, width)]
 
 
 @dataclass(frozen=True)
@@ -350,14 +431,20 @@ def linear_energy(
 
 
 def format_table_text(q: DnaSequence | str, table: EnergyTable) -> str:
-    """Pretty-print a table with base labels and '*' below the boundary."""
+    """Pretty-print a table with base labels and '*' below the boundary.
+
+    A filled table's cells lie between E[1][n] and 0, so every column is as
+    wide as str(E[1][n]); labels and '*' are one character.
+    """
     s = _text(q)
-    cells = [[str(c) for c in row] for row in table.cells()]
-    width = max(max(len(c) for row in cells for c in row), 1)
-    header = " " + " ".join(b.rjust(width) for b in s)
-    lines = [header]
-    for base, row in zip(s, cells):
-        lines.append(base + " ".join(c.rjust(width) for c in row))
+    low = table.min_free_energy
+    width = len(str(low))
+    cell = {v: str(v).rjust(width) for v in range(low, 1)}
+    gap = " " * width
+    star = gap[1:] + "* "
+    lines = [gap + gap.join(s)]
+    for i, base in enumerate(s, 1):
+        lines.append(base + star * (i - 2) + " ".join(map(cell.__getitem__, table.row(i))))
     return "\n".join(lines)
 
 

@@ -76,6 +76,17 @@ def min_energy_noncrossing(word: str, at: int = -1, gc: int = -2) -> int:
     )
 
 
+def format_table_text(word: str, table) -> str:
+    """A table's text rendering, measured cell by cell: every cell as text,
+    the width of the widest, then every cell right-justified to it."""
+    cells = [[str(c) for c in row] for row in table.cells()]
+    width = max(max(len(c) for row in cells for c in row), 1)
+    lines = [" " + " ".join(b.rjust(width) for b in word)]
+    for base, row in zip(word, cells):
+        lines.append(base + " ".join(c.rjust(width) for c in row))
+    return "\n".join(lines)
+
+
 def all_words(n: int):
     for letters in itertools.product("ACGT", repeat=n):
         yield "".join(letters)

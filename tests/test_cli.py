@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -347,11 +348,25 @@ class TestScreen:
         {"at_energy": 0, "gc_energy": 0, "threshold": 0},
     ]
 
-    @pytest.mark.parametrize("limits", SEEDED_LIMITS)
-    def test_seeded_pool_matches_reference_that_always_folds(self, tmp_path, limits):
+    # a length n with at least n words to fold shares one lane fill, one
+    # with fewer takes a sparse fill per word; each 1500-word pool has a lane fill
+    @pytest.mark.parametrize("limits,size", [
+        *(pytest.param(limits, 300, id=f"limits{i}") for i, limits in enumerate(SEEDED_LIMITS)),
+        *(pytest.param(limits, 1500, id=f"limits{i}-1500") for i, limits in enumerate(SEEDED_LIMITS)),
+    ])
+    def test_seeded_pool_matches_reference_that_always_folds(
+        self, tmp_path, monkeypatch, limits, size
+    ):
         rng = random.Random(20)
-        words = ["".join(rng.choices("ACGT", k=rng.randint(14, 30))) for _ in range(300)]
+        words = ["".join(rng.choices("ACGT", k=rng.randint(14, 30))) for _ in range(size)]
         expected = screen_reference(words, limits)
+        lane_fill, lane_lengths = folding._lane_energies, []
+
+        def spy(texts, n, params):
+            lane_lengths.append(n)
+            return lane_fill(texts, n, params)
+
+        monkeypatch.setattr(folding, "_lane_energies", spy)
         path, out, log = (tmp_path / name for name in ("in.txt", "kept.txt", "log.txt"))
         write_lines(path, words)
         argv = ["screen", "--input", str(path), "--output", str(out), "--log", str(log)]
@@ -368,6 +383,9 @@ class TestScreen:
         settled = sum(bound > limits["threshold"] for bound in bounds)
         assert 0 < settled < len(bounds) if limits["threshold"] < 0 else settled == 0
         assert any(reason.startswith("energy") for reason in reasons.values())
+        folded = Counter(len(w) for w, bound in zip(reached, bounds) if bound <= limits["threshold"])
+        assert sorted(lane_lengths) == sorted(n for n, count in folded.items() if count >= n)
+        assert size == 300 or lane_lengths
 
 
 def screen_reference(words, limits):

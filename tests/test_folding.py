@@ -12,19 +12,21 @@ from oligoforge.folding import (
     EnergyTable,
     LinearEnergyModel,
     _fill,
+    _lane_energies,
     dot_bracket,
     format_table_csv,
     format_table_text,
     has_structure,
     linear_energy,
     min_free_energy,
+    min_free_energies,
     nussinov_table,
     packed_energy_bound,
     packed_linear_energy,
     rotation_energies,
     traceback,
 )
-from oligoforge.seqcore import COMPLEMENT, mu, packed_image
+from oligoforge.seqcore import COMPLEMENT, DnaSequence, SequenceParseError, mu, packed_image
 
 import oracles
 from fixtures import TABLE_1, TABLE_2, TABLE_SEQ_1, TABLE_SEQ_2
@@ -234,6 +236,59 @@ class TestSparseFill:
         assert rotation_energies(word, step, count, params) == windows
         structure = traceback(nussinov_table(word, params), word, params)
         assert structure.energy == min_free_energy(word, params) == windows[0]
+
+
+# pair energies from -1000 up, so a lane is wider than a byte, and both zero
+PAIR_ENERGIES = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(min_value=-1000, max_value=0), st.integers(min_value=-1000, max_value=0)),
+)
+
+
+class TestMinFreeEnergies:
+    """The fill in lanes against the split recursion and the per-word fill."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        n=st.integers(min_value=1, max_value=24),
+        energies=PAIR_ENERGIES,
+        data=st.data(),
+    )
+    def test_lane_fill_matches_split_recursion(self, n, energies, data):
+        words = data.draw(st.lists(st.text("ACGT", min_size=n, max_size=n), min_size=1, max_size=8))
+        at, gc = energies
+        expected = [oracles.split_fill(w, at, gc)[1][n] for w in words]
+        assert _lane_energies(words, n, EnergyParams(at, gc)) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(energies=PAIR_ENERGIES, data=st.data())
+    def test_mixed_lengths_match_per_word_fill(self, energies, data):
+        # per length, from no words to twice its length: groups of at least
+        # n words share lanes, smaller ones fill each word alone
+        words = []
+        for n in data.draw(st.sets(st.integers(min_value=1, max_value=14), max_size=5)):
+            count = data.draw(st.integers(min_value=0, max_value=2 * n))
+            word = st.text("ACGT", min_size=n, max_size=n)
+            words += data.draw(st.lists(word, min_size=count, max_size=count))
+        words = data.draw(st.permutations(words))
+        # lower-case text and DnaSequence arguments, as min_free_energy takes
+        inputs = [data.draw(st.sampled_from([w, w.lower(), DnaSequence(w)])) for w in words]
+        params = EnergyParams(*energies)
+        expected = [min_free_energy(w, params) for w in words]
+        assert expected == [oracles.split_fill(w, *energies)[1][len(w)] for w in words]
+        assert min_free_energies(inputs, params) == expected
+
+    @pytest.mark.parametrize("words", [[], ["A"], ["G", "AT"], ["AT", "GC"], ["at", "TA", "gC", "C"]])
+    def test_short_words_and_empty_list(self, words):
+        assert min_free_energies(words) == [min_free_energy(w) for w in words]
+
+    @pytest.mark.parametrize("words", [["ACGU"], ["ACGT"] * 4 + ["ACGN"], ["GC", "G-"]])
+    def test_invalid_base_raises_as_per_word(self, words):
+        with pytest.raises(SequenceParseError) as caught:
+            min_free_energies(words)
+        with pytest.raises(SequenceParseError) as per_word:
+            [min_free_energy(w) for w in words]
+        assert str(caught.value) == str(per_word.value)
 
 
 class TestTraceback:
@@ -450,6 +505,15 @@ class TestTableRendering:
         for i, (_, cells) in enumerate(rows):
             expected = ["*" if v is None else str(v) for v in TABLE_1[i]]
             assert cells == expected
+
+    @settings(deadline=None)
+    @given(
+        word=st.text(alphabet="ACGT", min_size=1, max_size=40),
+        energies=PAIR_ENERGIES,
+    )
+    def test_text_bytes_match_cell_by_cell_renderer(self, word, energies):
+        table = nussinov_table(word, EnergyParams(*energies))
+        assert format_table_text(word, table) == oracles.format_table_text(word, table)
 
     def test_csv_matches_reference_layout(self):
         table = nussinov_table(TABLE_SEQ_2)
