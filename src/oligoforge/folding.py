@@ -17,6 +17,8 @@ from operator import add
 from .seqcore import DnaSequence, _text, packed_image
 
 DEFAULT_STRUCTURE_THRESHOLD = -2
+# min_free_energies splits a length's words into packed fills of at least this many lanes
+LANE_BLOCK = 2048
 
 
 class EnergyParams:
@@ -200,22 +202,30 @@ def min_free_energies(words, params: EnergyParams | None = None) -> list[int]:
 
     A group costs ~n^3/6 packed operations against n sparse fills, so a
     group of fewer than n words keeps the sparse fill of min_free_energy.
+    A larger group fills in blocks of at least max(LANE_BLOCK, n) lanes and
+    fewer than twice that, so its rows, about lanes * b * n^2 / 16 bytes,
+    stay bounded however many words there are; past about 2000 lanes the
+    time per word hardly falls.
     """
     params = params or DEFAULT_ENERGY_PARAMS
     texts = [_text(q) for q in words]
-    groups: dict[int, list[int]] = {}
-    for index, s in enumerate(texts):
-        groups.setdefault(len(s), []).append(index)
-    energies = [0] * len(texts)
-    for n, indices in groups.items():
-        group = [texts[index] for index in indices]
+    groups: dict[int, list[str]] = {}
+    for s in texts:
+        groups.setdefault(len(s), []).append(s)
+    energies = {}  # length -> iterator over its words' energies
+    for n, group in groups.items():
         if len(group) >= n:
-            values = _lane_energies(group, n, params)
+            blocks = max(1, len(group) // max(LANE_BLOCK, n))
+            cuts = [b * len(group) // blocks for b in range(blocks + 1)]
+            values = [
+                energy
+                for start, stop in zip(cuts, cuts[1:])
+                for energy in _lane_energies(group[start:stop], n, params)
+            ]
         else:
             values = [min_free_energy(s, params) for s in group]
-        for index, energy in zip(indices, values):
-            energies[index] = energy
-    return energies
+        energies[n] = iter(values)
+    return [next(energies[len(s)]) for s in texts]
 
 
 def _lane_energies(texts: list[str], n: int, params: EnergyParams) -> list[int]:
@@ -434,17 +444,18 @@ def format_table_text(q: DnaSequence | str, table: EnergyTable) -> str:
     """Pretty-print a table with base labels and '*' below the boundary.
 
     A filled table's cells lie between E[1][n] and 0, so every column is as
-    wide as str(E[1][n]); labels and '*' are one character.
+    wide as str(E[1][n]); labels and '*' are one character. Each value that
+    occurs is padded once.
     """
     s = _text(q)
-    low = table.min_free_energy
-    width = len(str(low))
-    cell = {v: str(v).rjust(width) for v in range(low, 1)}
+    width = len(str(table.min_free_energy))
+    rows = list(map(table.row, range(1, table.n + 1)))
+    cell = {v: str(v).rjust(width) for v in set().union(*rows)}
     gap = " " * width
     star = gap[1:] + "* "
     lines = [gap + gap.join(s)]
-    for i, base in enumerate(s, 1):
-        lines.append(base + star * (i - 2) + " ".join(map(cell.__getitem__, table.row(i))))
+    for i, (base, row) in enumerate(zip(s, rows), 1):
+        lines.append(base + star * (i - 2) + " ".join(map(cell.__getitem__, row)))
     return "\n".join(lines)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oligoforge import folding
 from oligoforge.folding import (
     DEFAULT_STRUCTURE_THRESHOLD,
     EnergyParams,
@@ -282,6 +283,28 @@ class TestMinFreeEnergies:
     def test_short_words_and_empty_list(self, words):
         assert min_free_energies(words) == [min_free_energy(w) for w in words]
 
+    # (LANE_BLOCK, n, words of length n): one block below max(LANE_BLOCK, n)
+    # lanes and at it, then blocks of at least that many lanes and fewer than twice
+    @pytest.mark.parametrize("block,n,count", [
+        (4, 3, 3), (4, 3, 7), (4, 3, 8), (4, 3, 9), (4, 3, 31), (4, 6, 13), (4, 6, 17),
+        (folding.LANE_BLOCK, 3, 2 * folding.LANE_BLOCK + 1),
+    ])
+    def test_large_groups_fill_in_bounded_blocks(self, monkeypatch, block, n, count):
+        rng = random.Random(count)
+        words = ["".join(rng.choices("ACGT", k=n)) for _ in range(count)]
+        lane_fill, blocks = folding._lane_energies, []
+
+        def spy(texts, n, params):
+            blocks.append(len(texts))
+            return lane_fill(texts, n, params)
+
+        monkeypatch.setattr(folding, "LANE_BLOCK", block)
+        monkeypatch.setattr(folding, "_lane_energies", spy)
+        assert min_free_energies(words) == [min_free_energy(w) for w in words]
+        least = max(block, n)
+        assert sum(blocks) == count
+        assert blocks == [count] if count < least else all(least <= b < 2 * least for b in blocks)
+
     @pytest.mark.parametrize("words", [["ACGU"], ["ACGT"] * 4 + ["ACGN"], ["GC", "G-"]])
     def test_invalid_base_raises_as_per_word(self, words):
         with pytest.raises(SequenceParseError) as caught:
@@ -512,6 +535,16 @@ class TestTableRendering:
         energies=PAIR_ENERGIES,
     )
     def test_text_bytes_match_cell_by_cell_renderer(self, word, energies):
+        table = nussinov_table(word, EnergyParams(*energies))
+        assert format_table_text(word, table) == oracles.format_table_text(word, table)
+
+    # the width follows E[1][n], not how far it lies below zero
+    @pytest.mark.parametrize("word,energies", [
+        ("AT", (-2_000_000_000, 0)),
+        ("GGCCAT", (-1, -2_000_000_000)),
+        ("ATGCATGC", (-(10**30), -(10**30) + 7)),
+    ])
+    def test_text_with_very_negative_pair_energies(self, word, energies):
         table = nussinov_table(word, EnergyParams(*energies))
         assert format_table_text(word, table) == oracles.format_table_text(word, table)
 
