@@ -16,6 +16,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 from . import codegen, enumeration, folding, seqcore
@@ -197,13 +198,6 @@ def _count_table(args, header: str, rows) -> int:
 # ---------------------------------------------------------------- fold
 
 
-def _fold_blocks(sequences, params):
-    for q in sequences:
-        table = folding.nussinov_table(q, params)
-        structure = folding.traceback(table, q, params)
-        yield q, table, structure
-
-
 _CELL = ",\n        "
 
 
@@ -215,53 +209,58 @@ def _json_rows(rows: list[str]) -> str:
     return "[\n      [\n        " + "\n      ],\n      [\n        ".join(rows) + "\n      ]\n    ]"
 
 
+@cache
+def _json_table(n: int) -> str:
+    """A table's JSON value, a %s per score of its flat scores[1:] (folding.EnergyTable)."""
+    cells = (["%s"] * (n + 1 - max(1, i - 1)) for i in range(1, n + 1))
+    return _json_rows([('"*"' + _CELL) * (i - 2) + _CELL.join(row) for i, row in enumerate(cells, 1)])
+
+
+class _EnergyText(dict):  # score -> the text of its energy, -score, made once
+    def __missing__(self, score: int) -> str:
+        text = self[score] = str(-score)
+        return text
+
+
 def cmd_fold(args) -> int:
     if args.input is None:
         raise UsageError("fold requires --input")
     params = _energy_params(args)
     sequences = seqcore.read_sequence_file(args.input)
+    energy_text = _EnergyText()
     with _open_out(args.output) as out:
-        if args.format == "json":
-            # One record at a time, in the bytes json.dumps(records, indent=2)
-            # gives. q.text is upper-case ACGT and needs no escaping.
-            out.write("[")
-            for count, (q, table, structure) in enumerate(_fold_blocks(sequences, params)):
-                energy = table.min_free_energy
-                pairs = [f"{i}{_CELL}{j}" for i, j in structure.sorted_pairs()]
-                # row i of cells(): i-2 '*' cells, then table.row(i)
-                rows = [
-                    ('"*"' + _CELL) * (i - 2) + _CELL.join(map(str, table.row(i)))
-                    for i in range(1, table.n + 1)
-                ]
+        out.write("[" if args.format == "json" else "")
+        for count, (q, table) in enumerate(zip(sequences, folding.energy_tables(sequences, params))):
+            structure = folding.traceback(table, q, params)
+            energy, pairs = table.min_free_energy, structure.sorted_pairs()
+            folds, dot_bracket = energy <= args.threshold, folding.dot_bracket(structure, table.n)
+            if args.format == "json":
+                # One record at a time, in the bytes json.dumps(records, indent=2)
+                # gives. q.text is upper-case ACGT and needs no escaping.
+                cells = _json_table(table.n) % tuple(map(energy_text.__getitem__, table.scores[1:]))
                 out.write(
                     f'{"," if count else ""}\n  {{\n    "sequence": "{q.text}",\n'
                     f'    "min_free_energy": {energy},\n'
-                    f'    "has_structure": {"true" if energy <= args.threshold else "false"},\n'
+                    f'    "has_structure": {"true" if folds else "false"},\n'
                     f'    "threshold": {args.threshold},\n'
-                    f'    "pairs": {_json_rows(pairs)},\n'
-                    f'    "dot_bracket": "{folding.dot_bracket(structure, table.n)}",\n'
-                    f'    "table": {_json_rows(rows)}\n  }}'
+                    f'    "pairs": {_json_rows([f"{i}{_CELL}{j}" for i, j in pairs])},\n'
+                    f'    "dot_bracket": "{dot_bracket}",\n'
+                    f'    "table": {cells}\n  }}'
                 )
+            elif args.format == "text":
+                out.write(
+                    f"sequence: {q.text}\nmin_free_energy: {energy}\n"
+                    f"has_structure: {'yes' if folds else 'no'} (threshold {args.threshold})\n"
+                    f"pairs: {' '.join(f'{i}:{j}' for i, j in pairs)}\ndot_bracket: {dot_bracket}\n"
+                    f"{folding.format_table_text(q, table)}\n\n"
+                )
+            else:
+                out.write(
+                    f"sequence,{q.text}\nmin_free_energy,{energy}\nhas_structure,{'yes' if folds else 'no'}\n"
+                    f"pairs,{' '.join(f'{i}:{j}' for i, j in pairs)}\n{folding.format_table_csv(q, table)}\n\n"
+                )
+        if args.format == "json":
             out.write("\n]\n" if sequences else "]\n")
-        else:
-            for q, table, structure in _fold_blocks(sequences, params):
-                folds = table.min_free_energy <= args.threshold
-                pair_text = " ".join(f"{i}:{j}" for i, j in structure.sorted_pairs())
-                if args.format == "text":
-                    out.write(f"sequence: {q.text}\n")
-                    out.write(f"min_free_energy: {table.min_free_energy}\n")
-                    out.write(
-                        f"has_structure: {'yes' if folds else 'no'} (threshold {args.threshold})\n"
-                    )
-                    out.write(f"pairs: {pair_text}\n")
-                    out.write(f"dot_bracket: {folding.dot_bracket(structure, table.n)}\n")
-                    out.write(folding.format_table_text(q, table) + "\n\n")
-                else:
-                    out.write(f"sequence,{q.text}\n")
-                    out.write(f"min_free_energy,{table.min_free_energy}\n")
-                    out.write(f"has_structure,{'yes' if folds else 'no'}\n")
-                    out.write(f"pairs,{pair_text}\n")
-                    out.write(folding.format_table_csv(q, table) + "\n\n")
     return EXIT_OK
 
 
@@ -470,18 +469,23 @@ def cmd_verify(args) -> int:
         declared = {}
     m = args.m if args.m is not None else declared.get("m")
     generator = declared.get("generator")
-    try:
-        code = codegen.load_dna_code(sequences, m=m, generator=generator)
+    # dimension m means length 2^m - 1, m ones: read bit by bit, as a huge 2^m cannot be made
+    length = len(sequences[0])
+    fits = m is None or (m == length.bit_length() and length & (length + 1) == 0)
+    try:  # an m that does not fit gives no mu bound or GC target
+        code = codegen.load_dna_code(sequences, m=m if fits else None, generator=generator)
     except ValueError as exc:  # -m and the sidecar's m are checked already, so the words are at fault
         raise DataError(f"{args.input}: {exc}") from None
     report = codegen.verify_code(code, _energy_params(args), args.threshold)
-    failures = list(report.failures)
+    failures = [] if fits else [f"m: {m} needs words of length 2^m - 1, got length {length}"]
+    failures += report.failures
     recomputed = codegen.code_metadata(code, report)
+    recomputed["m"] = m  # the m in use, also one that does not fit
     for key, value in declared.items():
         if key not in recomputed:
             raise DataError(f"{meta_path}: unknown sidecar key {key!r}")
         failures += _differences(key, value, recomputed[key])
-    if generator is not None:
+    if generator is not None and fits:
         if m is None:
             raise codegen.SimplexCodeError(f"{meta_path}: generator: no m to check it against")
         try:

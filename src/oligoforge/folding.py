@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 
 from .seqcore import DnaSequence, _text, packed_image
 
 DEFAULT_STRUCTURE_THRESHOLD = -2
-# min_free_energies splits a length's words into packed fills of at least this many lanes
+# min_free_energies fills a length's words in blocks of at least this many lanes;
+# energy_tables fills words in input-order chunks of at most this many
 LANE_BLOCK = 2048
 
 
@@ -65,23 +66,28 @@ class EnergyTable:
 
     value(i, j) is defined for 1 <= i <= n and i-1 <= j <= n (the j = i and
     j = i-1 cells are the zero boundary); anything below that is outside
-    the table.
+    the table. It keeps the scores S = -E flat (from a grid, or as given:
+    bytes from energy_tables), row i holding columns i-1..n, so scores[1:]
+    is row(1), ..., row(n) in turn.
     """
 
-    __slots__ = ("n", "_grid")
+    __slots__ = ("n", "scores")
 
-    def __init__(self, n: int, grid: list[list[int]]):
+    def __init__(self, n: int, grid: list[list[int]] | None = None, scores=None):
         self.n = n
-        self._grid = grid
+        if grid is not None:
+            scores = [-e for i in range(1, n + 1) for e in grid[i][i - 1 : n + 1]]
+        self.scores = scores
 
     def value(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and j <= self.n and j >= i - 1 and j >= 1):
             raise IndexError(f"no entry ({i},{j}) in a table of size {self.n}")
-        return self._grid[i][j]
+        return -self.scores[_offset(self.n, i) + j]
 
     def row(self, i: int) -> list[int]:
         """value(i, j) for j = max(1, i-1)..n."""
-        return self._grid[i][max(1, i - 1) : self.n + 1]
+        at = _offset(self.n, i)
+        return list(map(neg, self.scores[at + max(1, i - 1) : at + self.n + 1]))
 
     def cells(self) -> list[list[int | str]]:
         """The n x n grid: cells()[i-1][j-1] is value(i, j), or '*' below j = i-1."""
@@ -90,7 +96,12 @@ class EnergyTable:
     @property
     def min_free_energy(self) -> int:
         """E[1][n], the minimum energy over the whole sequence."""
-        return self._grid[1][self.n]
+        return -self.scores[self.n]
+
+
+def _offset(n: int, i: int) -> int:
+    """_offset(n, i) + j indexes cell (i, j) in the flat scores of a table of size n."""
+    return (i - 1) * (2 * n + 4 - i) // 2 - i + 1
 
 
 def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
@@ -174,8 +185,9 @@ def rotation_energies(
 
 
 def min_free_energy(q: DnaSequence | str, params: EnergyParams | None = None) -> int:
-    """Minimum energy of q over all non-crossing complementary pairings."""
-    return nussinov_table(q, params).min_free_energy
+    """Minimum energy of q over all non-crossing pairings, read off _fill's grid."""
+    s = _text(q)
+    return _fill(s, params or DEFAULT_ENERGY_PARAMS, len(s))[1][len(s)]
 
 
 def min_free_energies(words, params: EnergyParams | None = None) -> list[int]:
@@ -205,37 +217,66 @@ def min_free_energies(words, params: EnergyParams | None = None) -> list[int]:
     A larger group fills in blocks of at least max(LANE_BLOCK, n) lanes and
     fewer than twice that, so its rows, about lanes * b * n^2 / 16 bytes,
     stay bounded however many words there are; past about 2000 lanes the
-    time per word hardly falls.
+    time per word hardly falls. energy_tables keeps every cell, in bytes.
     """
     params = params or DEFAULT_ENERGY_PARAMS
+
+    def fill(group, n):
+        if len(group) < n:
+            return (min_free_energy(s, params) for s in group)
+        blocks = max(1, len(group) // max(LANE_BLOCK, n))
+        cuts = [b * len(group) // blocks for b in range(blocks + 1)]
+        return (e for a, b in zip(cuts, cuts[1:]) for e in _lane_energies(group[a:b], n, params))
+
+    return list(_by_length([_text(q) for q in words], fill))
+
+
+def energy_tables(words, params: EnergyParams | None = None):
+    """nussinov_table(q, params) for each q in words, in order, in chunks of
+    at most LANE_BLOCK words. The n or more words of one length n in a chunk
+    share a fill (see min_free_energies) in lanes of a byte if every score
+    fits in 7 bits, floor(n/2) * max(-at, -gc) <= 127: a word's flat scores
+    (see EnergyTable) are then a strided slice of the packed cells' bytes.
+    Other words keep the sparse fill, made as they are reached."""
+    params = params or DEFAULT_ENERGY_PARAMS
+
+    def fill(group, n):
+        if len(group) < n or n // 2 * max(-params.at, -params.gc) > 127:
+            return (nussinov_table(s, params) for s in group)
+        lanes, rows = len(group), _lane_rows(group, n, params, 7)
+        cells = bytearray()
+        for i in range(1, n + 1):  # each row dropped once its bytes are out
+            cells += b"".join(c.to_bytes(lanes, "big") for c in rows[i])
+            rows[i] = None
+        return (EnergyTable(n, scores=cells[l::lanes]) for l in range(lanes))
+
     texts = [_text(q) for q in words]
+    for start in range(0, len(texts), LANE_BLOCK):
+        yield from _by_length(texts[start : start + LANE_BLOCK], fill)
+
+
+def _by_length(texts: list[str], fill):
+    """fill(group, n)'s values, one per word of each length n's group, in the order of texts."""
     groups: dict[int, list[str]] = {}
     for s in texts:
         groups.setdefault(len(s), []).append(s)
-    energies = {}  # length -> iterator over its words' energies
-    for n, group in groups.items():
-        if len(group) >= n:
-            blocks = max(1, len(group) // max(LANE_BLOCK, n))
-            cuts = [b * len(group) // blocks for b in range(blocks + 1)]
-            values = [
-                energy
-                for start, stop in zip(cuts, cuts[1:])
-                for energy in _lane_energies(group[start:stop], n, params)
-            ]
-        else:
-            values = [min_free_energy(s, params) for s in group]
-        energies[n] = iter(values)
-    return [next(energies[len(s)]) for s in texts]
+    values = {n: iter(fill(group, n)) for n, group in groups.items()}
+    return (next(values[len(s)]) for s in texts)
 
 
 def _lane_energies(texts: list[str], n: int, params: EnergyParams) -> list[int]:
-    """E[1][n] of each of texts, all of length n, from one fill in lanes
-    (see min_free_energies). Word 0 sits in the highest lane."""
-    at, gc = -params.at, -params.gc
-    bits = ((n // 2) * max(at, gc)).bit_length()  # below the guard bit
+    """E[1][n] of each of texts, all of length n, from a fill in the narrowest lanes."""
+    bits = ((n // 2) * max(-params.at, -params.gc)).bit_length()  # below the guard bit
     width = bits + 1
-    lanes = len(texts)
-    guard = int(("1" + "0" * bits) * lanes, 2)
+    packed = format(_lane_rows(texts, n, params, bits)[1][n], f"0{len(texts) * width}b")
+    return [-int(packed[p : p + width], 2) for p in range(0, len(packed), width)]
+
+
+def _lane_rows(texts: list[str], n: int, params: EnergyParams, bits: int) -> list[list[int]]:
+    """The rows (below) of one fill of texts, all of length n, in lanes of
+    bits + 1 bits (see min_free_energies), word 0 in the highest lane."""
+    at, gc = -params.at, -params.gc
+    guard = int(("1" + "0" * bits) * len(texts), 2)
     # position p's bases, one per lane, "0" filling the bits above bit 0
     columns = [("0" * bits).join(column) for column in zip(*texts)]
     # one-hot base masks: bit 0 of lane l set where word l has the base at p
@@ -243,6 +284,7 @@ def _lane_energies(texts: list[str], n: int, params: EnergyParams) -> list[int]:
         [0] + [int(column.translate(one_hot), 2) for column in columns]
         for one_hot in map(str.maketrans, ("ACGT",) * 4, ("1000", "0100", "0010", "0001"))
     )
+    del columns  # n * lanes * (bits + 1) characters, not kept through the fill
     # rows[i][col - i + 1] = S[i][col] for col = i-1 .. the last column filled
     rows = [[0, 0] for _ in range(n + 1)]
     for j in range(2, n + 1):
@@ -262,8 +304,7 @@ def _lane_energies(texts: list[str], n: int, params: EnergyParams) -> list[int]:
                 kept = d & guard
                 best += d & (kept - (kept >> bits))
             row.append(best)
-    packed = format(rows[1][n], f"0{lanes * width}b")
-    return [-int(packed[p : p + width], 2) for p in range(0, lanes * width, width)]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -294,21 +335,21 @@ def traceback(
     if table.n != len(s):
         raise ValueError(f"table size {table.n} does not match sequence length {len(s)}")
     alpha = params._alpha
-    grid = table._grid
+    scores, offsets = table.scores, [_offset(table.n, i) for i in range(table.n + 1)]
     pairs = []
     stack = [(1, table.n)]
     while stack:
         i, j = stack.pop()
         if j <= i:
             continue
-        e = grid[i][j]
+        e = scores[offsets[i] + j]
         a = alpha[s[i - 1] + s[j - 1]]
-        if a < 0 and e == grid[i + 1][j - 1] + a:
+        if a < 0 and e == scores[offsets[i + 1] + j - 1] - a:
             pairs.append((i, j))
             stack.append((i + 1, j - 1))
             continue
         for k in range(i + 1, j + 1):
-            if e == grid[i][k - 1] + grid[k][j]:
+            if e == scores[offsets[i] + k - 1] + scores[offsets[k] + j]:
                 stack.append((i, k - 1))
                 stack.append((k, j))
                 break

@@ -31,6 +31,11 @@ def parse_rendered_table(block_lines):
     return rows
 
 
+def seeded_words(letters, n, count):
+    rng = random.Random(16)
+    return ["".join(rng.choices(letters, k=n)) for _ in range(count)]
+
+
 def fold_records(words, threshold=-2, params=None):
     """The records fold --format json writes, built apart from its writer."""
     records = []
@@ -147,6 +152,88 @@ class TestFold:
             assert cli.main(argv) == 0
             records = fold_records(words, threshold, folding.EnergyParams(at=at, gc=gc))
             assert out.read_text() == json.dumps(records, indent=2) + "\n"
+
+    # (words, pair energies, whether they share a byte-lane fill): lengths 1-3
+    # and 30 with n words each; n words whose scores may need 8 bits (n/2
+    # G-C pairs of 20, from n = 14) and a word alone fall back to the sparse fill
+    TEMPLATE_POOLS = [
+        pytest.param([], (-1, -2), False, id="empty"),
+        pytest.param(["G"], (-1, -2), True, id="n1"),
+        pytest.param(["GC", "at"], (-1, -2), True, id="n2"),
+        pytest.param(["GCA", "TTA", "CGG"], (-1, -2), True, id="n3"),
+        pytest.param(seeded_words("ACGT", 30, 30), (-1, -2), True, id="n30"),
+        pytest.param(seeded_words("GC", 30, 30), (-1, -20), False, id="n30-8bit"),
+        pytest.param(seeded_words("GC", 14, 14), (-1, -20), False, id="n14-8bit"),
+        pytest.param(["GCATGC"], (-1, -2), False, id="alone"),
+    ]
+
+    @pytest.mark.parametrize("words,energies,lanes", TEMPLATE_POOLS)
+    def test_json_template_matches_json_dumps(self, tmp_path, monkeypatch, words, energies, lanes):
+        lane_rows, lengths = folding._lane_rows, []
+
+        def spy(texts, n, params, bits):
+            lengths.append((n, bits))
+            return lane_rows(texts, n, params, bits)
+
+        monkeypatch.setattr(folding, "_lane_rows", spy)
+        path, out = tmp_path / "in.txt", tmp_path / "out.json"
+        write_lines(path, words)
+        at, gc = energies
+        argv = ["fold", "--input", str(path), "--format", "json", "--output", str(out),
+                "--at-energy", str(at), "--gc-energy", str(gc)]
+        assert cli.main(argv) == 0
+        records = fold_records(words, params=folding.EnergyParams(at, gc))
+        assert out.read_text() == json.dumps(records, indent=2) + "\n"
+        assert lengths == ([(len(words[0]), 7)] if lanes else [])
+
+    @staticmethod
+    def fold_outputs(words, at, gc):
+        """fold's output in json, text and csv on words."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "in.txt", Path(tmp) / "out"
+            write_lines(path, words)
+            outputs = []
+            for form in ("json", "text", "csv"):
+                argv = ["fold", "--input", str(path), "--format", form, "--output", str(out),
+                        "--at-energy", str(at), "--gc-energy", str(gc)]
+                assert cli.main(argv) == 0
+                outputs.append(out.read_text())
+            return outputs
+
+    # pools of mixed lengths 1-14 and 30, from no words of a length to twice
+    # the length, some of G and C alone; chunks of a few words, so a group
+    # spans several; with a G-C weight of 20, lengths from 14 may need more
+    # than 7 bits, and G-C words of length 14 do
+    @settings(deadline=None, max_examples=40)
+    @given(
+        energies=st.sampled_from([(-1, -2), (-3, -1), (0, 0), (-1, -20)]),
+        block=st.integers(min_value=1, max_value=64),
+        data=st.data(),
+    )
+    def test_lane_route_matches_per_word_sparse_route(self, energies, block, data):
+        words = []
+        for n in data.draw(st.sets(st.one_of(st.integers(1, 14), st.just(30)), max_size=4)):
+            count = data.draw(st.integers(min_value=0, max_value=2 * n))
+            word = st.text(data.draw(st.sampled_from(["ACGT", "GC"])), min_size=n, max_size=n)
+            words += data.draw(st.lists(word, min_size=count, max_size=count))
+        words = data.draw(st.permutations(words))
+        params = folding.EnergyParams(*energies)
+        sparse = [folding.nussinov_table(w, params) for w in words]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(folding, "LANE_BLOCK", block)
+            tables = list(folding.energy_tables(words, params))
+            outputs = self.fold_outputs(words, *energies)
+        assert len(tables) == len(words)
+        for word, table, reference in zip(words, tables, sparse):
+            n = len(word)
+            assert table.n == n
+            for i in range(1, n + 1):
+                for j in range(max(1, i - 1), n + 1):
+                    assert table.value(i, j) == reference.value(i, j), (word, i, j)
+            assert folding.traceback(table, word, params) == folding.traceback(reference, word, params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(folding, "energy_tables", lambda words, params: map(folding.nussinov_table, words, [params] * len(words)))
+            assert self.fold_outputs(words, *energies) == outputs
 
     def test_non_ascii_byte_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
@@ -825,6 +912,38 @@ class TestVerify:
         # -m supplies it
         rc, failures, _ = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(m=None), "-m", "3")
         assert (rc, failures) == (3, ["failure: m: declared None, recomputed 3"])
+
+    # 2^20000 has over 6000 digits, more than Python prints; the m of a sidecar
+    # or of -m is checked against the length 7 first, and a report is written
+    @pytest.mark.parametrize("change,flags,failures", [
+        (lambda meta: meta.update(m=20000), [], [
+            "failure: m: 20000 needs words of length 2^m - 1, got length 7",
+            "failure: mu_bound: declared 2, recomputed None",
+        ]),
+        (lambda meta: None, ["-m", "20000"], [
+            "failure: m: 20000 needs words of length 2^m - 1, got length 7",
+            "failure: m: declared 3, recomputed 20000",
+            "failure: mu_bound: declared 2, recomputed None",
+        ]),
+        (lambda meta: meta.clear(), ["-m", str(10**12)], [
+            f"failure: m: {10**12} needs words of length 2^m - 1, got length 7",
+        ]),
+    ], ids=["sidecar", "flag", "flag-without-sidecar"])
+    def test_declared_dimension_must_fit_the_word_length(self, tmp_path, capsys, change, flags, failures):
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "3", "--output", str(out)]) == 0
+        meta_path = tmp_path / "code.txt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        change(meta)
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        rc = cli.main(["verify", "--input", str(out), *flags])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (3, "")
+        lines = captured.out.splitlines()
+        assert lines[:2] == ["codewords: 49", "length: 7"]
+        assert "max_mu: 2" in lines  # no bound without a fitting m
+        assert [l for l in lines if l.startswith("failure:")] == failures
 
     def test_bound_violation_fails(self, tmp_path, capsys):
         path = tmp_path / "weak.txt"
