@@ -494,8 +494,8 @@ def cmd_verify(args) -> int:
             raise codegen.SimplexCodeError(f"{meta_path}: generator: {exc}") from None
         if not codegen.holds_simplex_code(code, simplex):
             failures.append(f"generator: {args.input} does not hold the code of {generator}")
-    with _open_out(args.output) as out:
-        out.write(report.render_text() + "\n")
+    with _open_out(args.output) as out:  # the verdict covers every failure line
+        out.write(report._replace(failures=failures).render_text() + "\n")
         for failure in failures:
             out.write(f"failure: {failure}\n")
     return EXIT_VERIFY if failures else EXIT_OK

@@ -10,7 +10,7 @@ two-bit base encoding yields (2^m - 1)^2 DNA words of constant GC-content
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import folding
 # binary_image, gc_content and mu are not called here. They stay bound because
@@ -67,13 +67,10 @@ def default_generator(m: int) -> str:
     return "".join(str(b) for b in bits)
 
 
-@dataclass(frozen=True)
-class SimplexCode:
+class SimplexCode(namedtuple("SimplexCode", "m n codewords")):
     """Nonzero codewords of a cyclic simplex code, in shift order."""
 
-    m: int
-    n: int
-    codewords: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def generator(self) -> str:
@@ -119,9 +116,14 @@ def simplex_code(m: int, generator: str | None = None) -> SimplexCode:
     return SimplexCode(m, n, tuple(shifts))
 
 
-@dataclass(frozen=True)
-class CodeProperties:
+class CodeProperties(namedtuple("CodeProperties", [
+    "size", "length", "min_hamming_distance", "gc_content", "gc_values",
+    "max_shift_match", "rotation_step", "representatives",
+])):
     """Recomputable metadata of a DNA codeword set.
+
+    gc_content is the common value, None when not constant; gc_values holds
+    the sorted distinct values.
 
     rotation_step is the smallest d such that rotating every word by d
     maps the codeword multiset onto itself. The rotations that do form the
@@ -131,14 +133,7 @@ class CodeProperties:
     multiples of d gives every distinct word, each once per orbit.
     """
 
-    size: int
-    length: int
-    min_hamming_distance: int | None
-    gc_content: int | None  # common value, None when not constant
-    gc_values: tuple[int, ...]  # sorted distinct values
-    max_shift_match: int
-    rotation_step: int
-    representatives: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def gc_constant(self) -> bool:
@@ -237,8 +232,7 @@ def code_properties(codewords) -> CodeProperties:
     )
 
 
-@dataclass(frozen=True)
-class DnaCode:
+class DnaCode(namedtuple("DnaCode", "codewords m generator properties")):
     """A set of DNA codewords and their metadata.
 
     properties is computed once, from the codewords, when the code is made.
@@ -246,15 +240,7 @@ class DnaCode:
     construction; codes loaded from plain files carry None there.
     """
 
-    codewords: tuple[DnaSequence, ...]
-    m: int | None = None
-    generator: str | None = None
-    properties: CodeProperties = field(init=False)
-
-    def __post_init__(self):
-        if self.m is not None and self.m < 2:
-            raise ValueError(f"simplex dimension must be >= 2, got {self.m}")
-        object.__setattr__(self, "properties", code_properties(self.codewords))
+    __slots__ = ()
 
     @property
     def mu_bound(self) -> int | None:
@@ -280,12 +266,15 @@ def build_dna_code(code: SimplexCode) -> DnaCode:
         for a in range(n)
         for w in firsts[n - a :] + firsts[: n - a]
     ]
-    return DnaCode(tuple(words), m=code.m, generator=code.generator)
+    return DnaCode(tuple(words), code.m, code.generator, code_properties(words))
 
 
 def load_dna_code(sequences, m: int | None = None, generator: str | None = None) -> DnaCode:
     """Wrap an existing codeword list, recomputing its metadata."""
-    return DnaCode(tuple(DnaSequence(w) for w in sequences), m=m, generator=generator)
+    if m is not None and m < 2:
+        raise ValueError(f"simplex dimension must be >= 2, got {m}")
+    words = tuple(DnaSequence(w) for w in sequences)
+    return DnaCode(words, m, generator, code_properties(words))
 
 
 def holds_simplex_code(code: DnaCode, simplex: SimplexCode) -> bool:
@@ -310,17 +299,15 @@ def holds_simplex_code(code: DnaCode, simplex: SimplexCode) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Recomputed code facts and the reasons the code fails its bounds."""
+class VerificationReport(
+    namedtuple("VerificationReport", "properties mu_bound params energies folded threshold failures")
+):
+    """Recomputed code facts and the reasons the code fails its bounds.
 
-    properties: CodeProperties
-    mu_bound: int | None
-    params: folding.EnergyParams
-    energies: dict[str, int]
-    folded: tuple[str, ...]  # codewords at or below the structure threshold
-    threshold: int
-    failures: tuple[str, ...]
+    folded holds the codewords at or below the structure threshold.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

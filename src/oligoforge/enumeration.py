@@ -14,9 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 DEFAULT_ORACLE_CAP = 12
 ORACLE_CAP_ENV = "OLIGOFORGE_ORACLE_CAP"
@@ -52,19 +51,15 @@ def check_oracle_cap(n: int, cap: int | None = None) -> None:
         )
 
 
-# predicate(even, n) -> the odd images that pass, bit o set for odd image o
-Predicate = Callable[[int, int], int]
-
-
-def count_brute_force(n: int, predicate: Predicate, cap: int | None = None) -> int:
+def count_brute_force(n: int, predicate, cap: int | None = None) -> int:
     """Count length-n words satisfying predicate by full enumeration.
 
     Every pair of n-bit ints (even, odd) is the packed image
     (seqcore.packed_image) of exactly one word of length n, so the pairs
     walk all 4^n words. predicate(even, n) is called once per even image
-    and returns a mask of its 2^n odd images, one bit each (bit slicing:
-    Biham, FSE 1997), built from the truth tables T_b of the odd bits; the
-    count sums the masks' popcounts.
+    and returns a mask of its 2^n odd images, bit o set when the word of
+    (even, o) passes (bit slicing: Biham, FSE 1997), built from the truth
+    tables T_b of the odd bits; the count sums the masks' popcounts.
 
     Refuses to run past the cap (check_oracle_cap) rather than sampling:
     results from this oracle are exact or absent.
@@ -104,7 +99,7 @@ def _same_class(even: int, n: int, i: int) -> int:
     return ~(even ^ even >> i) & ((1 << n - i) - 1)
 
 
-def mu_zero_predicate(s: int) -> Predicate:
+def mu_zero_predicate(s: int):
     """Predicate on a packed image: mu_i = 0 for every shift 1..min(s, n-1)."""
     if s < 1:
         raise ValueError("shift depth must be >= 1")
@@ -116,7 +111,7 @@ def mu_zero_predicate(s: int) -> Predicate:
     return predicate
 
 
-def mu1_equals_predicate(m: int) -> Predicate:
+def mu1_equals_predicate(m: int):
     """Predicate on a packed image: exactly m complementary matches on shift 1.
 
     exactly[k] is the set of odd images with k matches among the positions read.
@@ -139,7 +134,7 @@ def mu1_equals_predicate(m: int) -> Predicate:
     return predicate
 
 
-def complement_free_predicate() -> Predicate:
+def complement_free_predicate():
     """Predicate on a packed image: no two positions hold complementary bases.
 
     The A/T positions (~even) and the C/G positions (even) each tell their
@@ -187,12 +182,10 @@ def g_recursive(s: int, n: int) -> int:
     return values[n]
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Counts g(s, n) for n = 1..N at a fixed shift depth s."""
+class CountTable(namedtuple("CountTable", "s values")):
+    """Counts g(s, n) for n = 1..N at a fixed shift depth s, values[n] = g(s, n)."""
 
-    s: int
-    values: dict[int, int]
+    __slots__ = ()
 
     def value(self, n: int) -> int:
         return self.values[n]
@@ -255,15 +248,13 @@ def count_mu1(n: int, m: int) -> int:
     return 4 * math.comb(n - 1, m) * 3 ** (n - m - 1)
 
 
-@dataclass(frozen=True)
-class BivariateSeries:
+class BivariateSeries(namedtuple("BivariateSeries", "order rows")):
     """Truncated series with integer coefficients indexed by (n, w).
 
     rows[n] lists the coefficients of x^n by ascending power w of y.
     """
 
-    order: int
-    rows: list[list[int]]
+    __slots__ = ()
 
     def coefficient(self, n: int, w: int) -> int:
         if not 0 <= n <= self.order:
@@ -296,13 +287,10 @@ def psi(s: int, z: float) -> float:
     return z**s - 2 * z ** (s - 1) - 1
 
 
-@dataclass(frozen=True)
-class GrowthAnalysis:
-    """Dominant growth root of the count recursion for shift depth s."""
+class GrowthAnalysis(namedtuple("GrowthAnalysis", "s rho tolerance")):
+    """Dominant growth root rho of the count recursion for shift depth s."""
 
-    s: int
-    rho: float
-    tolerance: float
+    __slots__ = ()
 
     @property
     def residual(self) -> float:

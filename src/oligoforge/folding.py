@@ -10,7 +10,7 @@ simpler screening score in ``linear_energy`` uses exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, neg
 
@@ -307,12 +307,10 @@ def _lane_rows(texts: list[str], n: int, params: EnergyParams, bits: int) -> lis
     return rows
 
 
-@dataclass(frozen=True)
-class SecondaryStructure:
-    """Disjoint complementary pairings (1-based, i < j) and their energy."""
+class SecondaryStructure(namedtuple("SecondaryStructure", "pairs energy")):
+    """A frozenset of disjoint complementary pairings (1-based, i < j) and their energy."""
 
-    pairs: frozenset[tuple[int, int]]
-    energy: int
+    __slots__ = ()
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)

@@ -6,7 +6,8 @@ user-facing report; internal storage is a plain Python string.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 BASES = "ACGT"
 
@@ -68,6 +69,9 @@ class DnaSequence:
 
     def __setattr__(self, name, value):
         raise AttributeError("DnaSequence is immutable")
+
+    def __reduce__(self):
+        return DnaSequence, (self.text,)
 
     def __len__(self) -> int:
         return len(self.text)
@@ -168,12 +172,8 @@ def gc_content(q: DnaSequence | str) -> int:
     return qt.count("G") + qt.count("C")
 
 
-class BinaryImage(NamedTuple):
-    """2n-bit encoding of a DNA word, with its even/odd subsequences."""
-
-    bits: str
-    even: str
-    odd: str
+# 2n-bit encoding of a DNA word, with its even/odd subsequences
+BinaryImage = namedtuple("BinaryImage", "bits even odd")
 
 
 def binary_image(q: DnaSequence | str) -> BinaryImage:

@@ -786,6 +786,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert rc == 3
         assert "declared 5" in captured.out
+        assert "verdict: FAIL" in captured.out.splitlines()
 
     TAMPERED = {
         "size": 48,
@@ -943,6 +944,7 @@ class TestVerify:
         lines = captured.out.splitlines()
         assert lines[:2] == ["codewords: 49", "length: 7"]
         assert "max_mu: 2" in lines  # no bound without a fitting m
+        assert "verdict: FAIL" in lines
         assert [l for l in lines if l.startswith("failure:")] == failures
 
     def test_bound_violation_fails(self, tmp_path, capsys):
