@@ -181,17 +181,25 @@ def _count_table(args, header: str, rows) -> int:
     """
     if args.oracle:
         enumeration.check_oracle_cap(args.n)
-    with _open_out(args.output) as out:
-        out.write(header + ("\toracle\tmatch\n" if args.oracle else "\n"))
-        mismatch = False
-        for label, count, n, predicate in rows:
-            if args.oracle:
-                expected = enumeration.count_brute_force(n, predicate)
-                ok = count == expected
-                mismatch = mismatch or not ok
-                out.write(f"{label}\t{count}\t{expected}\t{'ok' if ok else 'MISMATCH'}\n")
-            else:
-                out.write(f"{label}\t{count}\n")
+    # counts print in full: the 4300-digit limit on int-to-str conversion
+    # (Python >= 3.10.7) is lifted while they are written, and kept for parsing
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        with _open_out(args.output) as out:
+            out.write(header + ("\toracle\tmatch\n" if args.oracle else "\n"))
+            mismatch = False
+            for label, count, n, predicate in rows:
+                if args.oracle:
+                    expected = enumeration.count_brute_force(n, predicate)
+                    ok = count == expected
+                    mismatch = mismatch or not ok
+                    out.write(f"{label}\t{count}\t{expected}\t{'ok' if ok else 'MISMATCH'}\n")
+                else:
+                    out.write(f"{label}\t{count}\n")
+    finally:
+        set_limit(limit)
     return EXIT_VERIFY if mismatch else EXIT_OK
 
 
@@ -267,32 +275,6 @@ def cmd_fold(args) -> int:
 # ---------------------------------------------------------------- screen
 
 
-def _screen_verdicts(sequences, gc_low, gc_high, depth, bound, threshold, params):
-    """(q, even, odd, reason, fold) per word: reason names a failed GC or mu
-    limit, else is None, and fold says whether q's energy must be filled."""
-    for q in sequences:
-        n = len(q)
-        even, odd = seqcore.packed_image(q)
-        gc = even.bit_count()
-        reason = None
-        if not gc_low <= gc <= gc_high:
-            reason = f"GC {gc}"
-        else:
-            for i in range(1, min(depth + 1, n)):
-                v = seqcore.packed_mu(even, odd, n, i)
-                if v > bound:
-                    reason = f"mu_{i} {v}"
-                    break
-        # a word whose base counts bound its energy above the threshold
-        # cannot fold at or below it, so it passes without a fill
-        fold = (
-            reason is None
-            and threshold is not None
-            and folding.packed_energy_bound(even, odd, n, params) <= threshold
-        )
-        yield q, even, odd, reason, fold
-
-
 def cmd_screen(args) -> int:
     if args.input is None:
         raise UsageError("screen requires --input")
@@ -311,18 +293,34 @@ def cmd_screen(args) -> int:
     bound = args.max_mu or 0
     params = _energy_params(args)
     sequences = seqcore.read_sequence_file(args.input)
-    limits = (low, high, depth, bound, args.threshold, params)
-    # the verdicts are recomputed rather than kept: a word's packed image
-    # would outweigh its text
-    folded = [q for q, *_, fold in _screen_verdicts(sequences, *limits) if fold]
-    energies = iter(folding.min_free_energies(folded, params))
+    # one verdict per word: its first failed GC or mu limit, else None; the
+    # packed images are not kept, as they would outweigh the words' text
+    reasons, folded = [], []
+    for q in sequences:
+        n = len(q)
+        even, odd = seqcore.packed_image(q)
+        gc = even.bit_count()
+        if not low <= gc <= high:
+            reasons.append(f"GC {gc}")
+            continue
+        for i in range(1, min(depth + 1, n)):
+            if (v := seqcore.packed_mu(even, odd, n, i)) > bound:
+                reasons.append(f"mu_{i} {v}")
+                break
+        else:
+            # a word whose base counts bound its energy above the threshold
+            # cannot fold at or below it, so it passes without a fill
+            if args.threshold is not None and folding.packed_energy_bound(even, odd, n, params) <= args.threshold:
+                folded.append(len(reasons))
+            reasons.append(None)
+    for k, energy in zip(folded, folding.min_free_energies([sequences[k] for k in folded], params)):
+        if energy <= args.threshold:
+            reasons[k] = f"energy {energy}"
     with _open_out(args.log, "stderr") as log, _open_out(args.output) as out:
-        for q, even, odd, reason, fold in _screen_verdicts(sequences, *limits):
-            if fold and (energy := next(energies)) <= args.threshold:
-                reason = f"energy {energy}"
+        for q, reason in zip(sequences, reasons):
             if reason is None and args.approx_threshold is not None:
-                n, model = len(q), folding.DEFAULT_LINEAR_MODEL
-                score = folding.packed_linear_energy(even, odd, n, model, params)
+                model = folding.DEFAULT_LINEAR_MODEL
+                score = folding.packed_linear_energy(*seqcore.packed_image(q), len(q), model, params)
                 if score <= args.approx_threshold:
                     reason = f"approx_energy {score}"
             if reason is None:
@@ -428,6 +426,8 @@ def _load_sidecar(path: str) -> dict:
             raise DataError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from None
         except UnicodeDecodeError:
             raise DataError(f"{path}: not an ASCII file") from None
+        except ValueError as exc:  # an integer past the int-to-str digit limit
+            raise DataError(f"{path}: {exc}") from None
     if not isinstance(declared, dict):
         raise DataError(f"{path}: expected a JSON object at the top level")
     # null is what code_metadata writes for a code without them

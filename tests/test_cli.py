@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoforge import cli, enumeration, folding
+from oligoforge import cli, enumeration, folding, seqcore
 from oligoforge.codegen import build_dna_code, simplex_code
 from oligoforge.seqcore import gc_content, mu, packed_image
 
@@ -474,6 +475,30 @@ class TestScreen:
         assert sorted(lane_lengths) == sorted(n for n, count in folded.items() if count >= n)
         assert size == 300 or lane_lengths
 
+    def test_packs_each_word_once(self, tmp_path, monkeypatch):
+        rng = random.Random(20)
+        words = ["".join(rng.choices("ACGT", k=rng.randint(14, 30))) for _ in range(300)]
+        limits = {k: v for k, v in self.SEEDED_LIMITS[0].items() if k != "approx_threshold"}
+        expected = screen_reference(words, limits)
+        packed_image, packed = seqcore.packed_image, []
+
+        def spy(q):
+            packed.append(q.text)
+            return packed_image(q)
+
+        monkeypatch.setattr(seqcore, "packed_image", spy)
+        path, out, log = (tmp_path / name for name in ("in.txt", "kept.txt", "log.txt"))
+        write_lines(path, words)
+        argv = ["screen", "--input", str(path), "--output", str(out), "--log", str(log)]
+        for dest, value in limits.items():
+            argv += [cli.OPTIONS[dest][0][0], str(value)]
+        assert cli.main(argv) == 0
+        assert (out.read_text(), log.read_text()) == expected
+        # words fail GC, fail mu and are folded, and each is packed once, in order
+        failed = {line.split("\t")[2].split()[0].split("_")[0] for line in log.read_text().splitlines()}
+        assert failed == {"GC", "mu", "energy"}
+        assert packed == words
+
 
 def screen_reference(words, limits):
     """screen's (kept, log) text, checked word by word on the characters, or
@@ -582,6 +607,23 @@ class TestEnumerate:
         monkeypatch.setenv("OLIGOFORGE_ORACLE_CAP", "3")
         rc = cli.main(["enumerate", "-s", "1", "-n", "3", "--oracle"])
         assert rc == 0
+
+    def test_counts_past_the_int_digit_limit_print_in_full(self, tmp_path):
+        # row 9013, 4 * 3^9012, is the first count of more than 4300 digits,
+        # which Python >= 3.10.7 will not turn into a string by default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+        out = tmp_path / "big.tsv"
+        assert cli.main(["enumerate", "-s", "1", "-n", "9100", "--output", str(out)]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        set_limit(0)
+        try:
+            last = f"9100\t{4 * 3**9099}"
+        finally:
+            set_limit(limit)
+        lines = out.read_text().splitlines()
+        assert len(lines) == 9101
+        assert lines[-1] == last
 
 
 class TestGf:
@@ -969,6 +1011,21 @@ class TestVerify:
         assert rc == 2
         assert f"{meta_path}: not an ASCII file" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_oversized_sidecar_integer_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "3", "--output", str(out)]) == 0
+        meta_path = tmp_path / "code.txt.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["size"] = "SIZE"
+        meta_path.write_text(json.dumps(meta).replace('"SIZE"', "9" * 5000))
+        capsys.readouterr()
+        rc = cli.main(["verify", "--input", str(out), "--meta", str(meta_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"oligoforge: error: {meta_path}: Exceeds the limit (4300 digits)")
+
     def test_sidecar_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "code.txt"
         write_lines(path, [w.text for w in build_dna_code(simplex_code(3)).codewords])
@@ -1093,6 +1150,16 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=three\n")
         assert cli.main(["enumerate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_oversized_integer_value_is_usage_error(self, tmp_path, capsys):
+        # the digit limit, lifted while counts are written, still guards parsing
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=" + "9" * 5000 + "\n")
+        assert cli.main(["enumerate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"is invalid for n ({cfg}:1)\n")
 
     def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
