@@ -100,8 +100,10 @@ OPTIONS = {
     "gc_max": (("--gc-max",), _bounded_int("GC-content", low=0), "largest allowed GC-content (>= 0)"),
     "threshold": (("--threshold",), _bounded_int("threshold", high=0), "structure threshold (<= 0): energy <= it folds"),
     "approx_threshold": (("--approx-threshold",), _fraction, "reject when linear score <= it"),
-    "at_energy": (("--at-energy",), _bounded_int("pair energy", high=0), "A-T pair energy (<= 0)"),
-    "gc_energy": (("--gc-energy",), _bounded_int("pair energy", high=0), "G-C pair energy (<= 0)"),
+    # bounded below so that an energy, at most floor(n/2) * 10^6, stays far
+    # below the 4300-digit limit on int-to-str conversion where it is printed
+    "at_energy": (("--at-energy",), _bounded_int("pair energy", low=-10**6, high=0), "A-T pair energy (-1000000 to 0)"),
+    "gc_energy": (("--gc-energy",), _bounded_int("pair energy", low=-10**6, high=0), "G-C pair energy (-1000000 to 0)"),
     "tol": (("--tol",), float, "bisection tolerance"),
     "generator": (("--generator",), str, "generator bit string (built-in when unset)"),
     "oracle": (("--oracle",), _parse_bool, "add brute-force column"),
@@ -244,10 +246,10 @@ def cmd_fold(args) -> int:
             folds, dot_bracket = energy <= args.threshold, folding.dot_bracket(structure, table.n)
             if args.format == "json":
                 # One record at a time, in the bytes json.dumps(records, indent=2)
-                # gives. q.text is upper-case ACGT and needs no escaping.
+                # gives. q is upper-case ACGT and needs no escaping.
                 cells = _json_table(table.n) % tuple(map(energy_text.__getitem__, table.scores[1:]))
                 out.write(
-                    f'{"," if count else ""}\n  {{\n    "sequence": "{q.text}",\n'
+                    f'{"," if count else ""}\n  {{\n    "sequence": "{q}",\n'
                     f'    "min_free_energy": {energy},\n'
                     f'    "has_structure": {"true" if folds else "false"},\n'
                     f'    "threshold": {args.threshold},\n'
@@ -257,14 +259,14 @@ def cmd_fold(args) -> int:
                 )
             elif args.format == "text":
                 out.write(
-                    f"sequence: {q.text}\nmin_free_energy: {energy}\n"
+                    f"sequence: {q}\nmin_free_energy: {energy}\n"
                     f"has_structure: {'yes' if folds else 'no'} (threshold {args.threshold})\n"
                     f"pairs: {' '.join(f'{i}:{j}' for i, j in pairs)}\ndot_bracket: {dot_bracket}\n"
                     f"{folding.format_table_text(q, table)}\n\n"
                 )
             else:
                 out.write(
-                    f"sequence,{q.text}\nmin_free_energy,{energy}\nhas_structure,{'yes' if folds else 'no'}\n"
+                    f"sequence,{q}\nmin_free_energy,{energy}\nhas_structure,{'yes' if folds else 'no'}\n"
                     f"pairs,{' '.join(f'{i}:{j}' for i, j in pairs)}\n{folding.format_table_csv(q, table)}\n\n"
                 )
         if args.format == "json":
@@ -324,9 +326,9 @@ def cmd_screen(args) -> int:
                 if score <= args.approx_threshold:
                     reason = f"approx_energy {score}"
             if reason is None:
-                out.write(q.text + "\n")
+                out.write(q + "\n")
             else:
-                log.write(f"{q.text}\trejected\t{reason}\n")
+                log.write(f"{q}\trejected\t{reason}\n")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ two-bit base encoding yields (2^m - 1)^2 DNA words of constant GC-content
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import folding
 # binary_image, gc_content and mu are not called here. They stay bound because
@@ -140,7 +140,7 @@ class CodeProperties(namedtuple("CodeProperties", [
         return self.gc_content is not None
 
 
-def _rotation_orbits(texts: list[str], length: int) -> tuple[int, tuple[str, ...]]:
+def _rotation_orbits(words: list[DnaSequence], length: int) -> tuple[int, tuple[DnaSequence, ...]]:
     """Rotation step of a word multiset and one representative per orbit.
 
     The rotations preserving the multiset form a subgroup of Z_length,
@@ -148,9 +148,7 @@ def _rotation_orbits(texts: list[str], length: int) -> tuple[int, tuple[str, ...
     rotation that maps a repeated word onto a single one does not preserve
     the code. The first word of each orbit, by index, represents it.
     """
-    counts: dict[str, int] = {}
-    for t in texts:
-        counts[t] = counts.get(t, 0) + 1
+    counts = Counter(words)
     step = next(
         d
         for d in range(1, length + 1)
@@ -196,11 +194,11 @@ def code_properties(codewords) -> CodeProperties:
     length = len(words[0])
     if any(len(w) != length for w in words):
         raise ValueError("codewords must have equal length")
-    distinct = {w.text: w for w in words}  # in first-occurrence order
-    step, representatives = _rotation_orbits([w.text for w in words], length)
+    distinct = dict.fromkeys(words)  # in first-occurrence order
+    step, representatives = _rotation_orbits(words, length)
     chosen = set(representatives)
-    ordered = [packed_image(distinct[t]) for t in representatives]
-    ordered += [packed_image(w) for t, w in distinct.items() if t not in chosen]
+    ordered = [packed_image(t) for t in representatives]
+    ordered += [packed_image(w) for w in distinct if w not in chosen]
     min_distance = 0 if len(distinct) < len(words) else None
     for idx in range(len(representatives)):
         e1, o1 = ordered[idx]
@@ -260,7 +258,7 @@ def build_dna_code(code: SimplexCode) -> DnaCode:
     the n words with even component c_0 are decoded; the rest are slices.
     """
     n = code.n
-    firsts = [sequence_from_even_odd(code.generator, odd).text for odd in code.codewords]
+    firsts = [sequence_from_even_odd(code.generator, odd) for odd in code.codewords]
     words = [
         DnaSequence(w[a:] + w[:a])
         for a in range(n)
@@ -362,7 +360,7 @@ def verify_code(
         failures.append(f"max mu {props.max_shift_match} exceeds bound {code.mu_bound}")
     if not props.gc_constant or (code.m is not None and props.gc_content != 2 ** (code.m - 1)):
         failures.append(f"GC content check failed: values {list(props.gc_values)}")
-    energies = dict.fromkeys(w.text for w in code.codewords)
+    energies = dict.fromkeys(code.codewords)
     step = props.rotation_step
     for t in props.representatives:
         for k, energy in enumerate(folding.rotation_energies(t, step, props.length // step, params)):
@@ -373,7 +371,7 @@ def verify_code(
         mu_bound=code.mu_bound,
         params=params,
         energies=energies,
-        folded=tuple(w.text for w in code.codewords if energies[w.text] <= threshold),
+        folded=tuple(w for w in code.codewords if energies[w] <= threshold),
         threshold=threshold,
         failures=tuple(failures),
     )

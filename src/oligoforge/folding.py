@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from operator import add, neg
 
-from .seqcore import DnaSequence, _text, packed_image
+from .seqcore import DnaSequence, packed_image
 
 DEFAULT_STRUCTURE_THRESHOLD = -2
 # min_free_energies fills a length's words in blocks of at least this many lanes;
@@ -22,7 +23,7 @@ DEFAULT_STRUCTURE_THRESHOLD = -2
 LANE_BLOCK = 2048
 
 
-class EnergyParams:
+class EnergyParams(namedtuple("EnergyParams", "at gc")):
     """Pairing energies: at for {A,T}, gc for {G,C}, zero elsewhere.
 
     Both values must be <= 0 (a pairing never raises the energy). Only the
@@ -30,32 +31,28 @@ class EnergyParams:
     complementary bases exclusively.
     """
 
-    __slots__ = ("at", "gc", "_alpha")
+    __slots__ = ()
 
-    def __init__(self, at: int = -1, gc: int = -2):
+    def __new__(cls, at: int = -1, gc: int = -2):
         if at > 0 or gc > 0:
             raise ValueError("pair energies must be <= 0")
-        self.at = at
-        self.gc = gc
-        alpha = {}
-        for x in "ACGT":
-            for y in "ACGT":
-                alpha[x + y] = 0
-        alpha["AT"] = alpha["TA"] = at
-        alpha["GC"] = alpha["CG"] = gc
-        self._alpha = alpha
+        return super().__new__(cls, at, gc)
+
+    # _replace builds its copy through _make, which is checked the same way
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def alpha(self, x: str, y: str) -> int:
         """Energy contributed by pairing bases x and y (order-free)."""
-        return self._alpha[x + y]
+        return _pair_table(self)[x + y]
 
-    def __repr__(self) -> str:
-        return f"EnergyParams(at={self.at}, gc={self.gc})"
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EnergyParams):
-            return self.at == other.at and self.gc == other.gc
-        return NotImplemented
+@cache
+def _pair_table(params: EnergyParams) -> dict[str, int]:
+    """alpha(x, y) of params for each two-base string x + y."""
+    alpha = {x + y: 0 for x in "ACGT" for y in "ACGT"}
+    alpha["AT"] = alpha["TA"] = params.at
+    alpha["GC"] = alpha["CG"] = params.gc
+    return alpha
 
 
 DEFAULT_ENERGY_PARAMS = EnergyParams()
@@ -127,7 +124,7 @@ def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
     column k + span - 1.
     """
     n = len(s)
-    alpha = params._alpha
+    alpha = _pair_table(params)
     # pair energy of base x with each position j (index 0 unused)
     pairing = {x: [0] + [alpha[x + y] for y in s] for x in set(s)}
     grid = [[0] * (n + 1) for _ in range(n + 1)]
@@ -160,7 +157,7 @@ def nussinov_table(q: DnaSequence | str, params: EnergyParams | None = None) -> 
     every k: both are the exact minimum over non-crossing structures within
     i..j. Runs in O(n^3).
     """
-    s = _text(q)
+    s = DnaSequence(q)
     return EnergyTable(len(s), _fill(s, params or DEFAULT_ENERGY_PARAMS, len(s)))
 
 
@@ -176,7 +173,7 @@ def rotation_energies(
     trick of circular folding with the span limit of windowed folding).
     With count = 1 the arc is q itself and this is the fill nussinov_table makes.
     """
-    s = _text(q)
+    s = DnaSequence(q)
     n = len(s)
     if step < 1 or count < 1 or (count - 1) * step >= n:
         raise ValueError(f"rotations 0, {step}, ... ({count} of them) must stay below {n}")
@@ -186,7 +183,7 @@ def rotation_energies(
 
 def min_free_energy(q: DnaSequence | str, params: EnergyParams | None = None) -> int:
     """Minimum energy of q over all non-crossing pairings, read off _fill's grid."""
-    s = _text(q)
+    s = DnaSequence(q)
     return _fill(s, params or DEFAULT_ENERGY_PARAMS, len(s))[1][len(s)]
 
 
@@ -228,7 +225,7 @@ def min_free_energies(words, params: EnergyParams | None = None) -> list[int]:
         cuts = [b * len(group) // blocks for b in range(blocks + 1)]
         return (e for a, b in zip(cuts, cuts[1:]) for e in _lane_energies(group[a:b], n, params))
 
-    return list(_by_length([_text(q) for q in words], fill))
+    return list(_by_length([DnaSequence(q) for q in words], fill))
 
 
 def energy_tables(words, params: EnergyParams | None = None):
@@ -250,7 +247,7 @@ def energy_tables(words, params: EnergyParams | None = None):
             rows[i] = None
         return (EnergyTable(n, scores=cells[l::lanes]) for l in range(lanes))
 
-    texts = [_text(q) for q in words]
+    texts = [DnaSequence(q) for q in words]
     for start in range(0, len(texts), LANE_BLOCK):
         yield from _by_length(texts[start : start + LANE_BLOCK], fill)
 
@@ -329,10 +326,10 @@ def traceback(
     always equal table.value(1, n).
     """
     params = params or DEFAULT_ENERGY_PARAMS
-    s = _text(q)
+    s = DnaSequence(q)
     if table.n != len(s):
         raise ValueError(f"table size {table.n} does not match sequence length {len(s)}")
-    alpha = params._alpha
+    alpha = _pair_table(params)
     scores, offsets = table.scores, [_offset(table.n, i) for i in range(table.n + 1)]
     pairs = []
     stack = [(1, table.n)]
@@ -486,7 +483,7 @@ def format_table_text(q: DnaSequence | str, table: EnergyTable) -> str:
     wide as str(E[1][n]); labels and '*' are one character. Each value that
     occurs is padded once.
     """
-    s = _text(q)
+    s = DnaSequence(q)
     width = len(str(table.min_free_energy))
     rows = list(map(table.row, range(1, table.n + 1)))
     cell = {v: str(v).rjust(width) for v in set().union(*rows)}
@@ -500,7 +497,7 @@ def format_table_text(q: DnaSequence | str, table: EnergyTable) -> str:
 
 def format_table_csv(q: DnaSequence | str, table: EnergyTable) -> str:
     """Same layout as the text table, comma-separated."""
-    s = _text(q)
+    s = DnaSequence(q)
     lines = ["," + ",".join(s)]
     for base, row in zip(s, table.cells()):
         lines.append(base + "," + ",".join(map(str, row)))

@@ -1,7 +1,8 @@
 """DNA alphabet, complementation, distances, shift metrics and binary images.
 
-Sequences are words over {A, C, G, T}. Positions are 1-based in every
-user-facing report; internal storage is a plain Python string.
+Sequences are words over {A, C, G, T}. A word is a DnaSequence, a str
+validated and upper-cased once; every function here also takes plain
+text. Positions are 1-based in every user-facing report.
 """
 
 from __future__ import annotations
@@ -45,14 +46,15 @@ def complement(base: str) -> str:
         raise SequenceParseError(f"invalid base {base!r}") from None
 
 
-class DnaSequence:
-    """Immutable word over {A, C, G, T}, length >= 1.
+class DnaSequence(str):
+    """Word over {A, C, G, T}, length >= 1: a str that has been validated.
 
     Lowercase input is normalized to uppercase; anything else is rejected.
-    Another DnaSequence is valid and immutable, so it is returned as it is.
+    Another DnaSequence is valid already, so it is returned as it is. A
+    DnaSequence equals its plain text, and its slices are plain strs.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ()
 
     def __new__(cls, text: str):
         if isinstance(text, DnaSequence):
@@ -63,53 +65,28 @@ class DnaSequence:
         if normalized.translate(_DROP_BASES):
             pos, ch = next((p, c) for p, c in enumerate(normalized, start=1) if c not in COMPLEMENT)
             raise SequenceParseError(f"invalid base {ch!r} at position {pos}")
-        self = super().__new__(cls)
-        object.__setattr__(self, "text", normalized)
+        return super().__new__(cls, normalized)
+
+    @property
+    def text(self) -> DnaSequence:
+        """The word itself."""
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DnaSequence is immutable")
-
-    def __reduce__(self):
-        return DnaSequence, (self.text,)
-
-    def __len__(self) -> int:
-        return len(self.text)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.text)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DnaSequence):
-            return self.text == other.text
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.text)
-
-    def __str__(self) -> str:
-        return self.text
-
     def __repr__(self) -> str:
-        return f"DnaSequence({self.text!r})"
-
-
-def _text(q: DnaSequence | str) -> str:
-    """Validated uppercase text of a sequence argument."""
-    return DnaSequence(q).text
+        return f"DnaSequence({str.__repr__(self)})"
 
 
 def complement_sequence(q: DnaSequence | str) -> DnaSequence:
     """Elementwise complement, preserving order and length."""
-    return DnaSequence("".join(COMPLEMENT[b] for b in _text(q)))
+    return DnaSequence("".join(COMPLEMENT[b] for b in DnaSequence(q)))
 
 
 def hamming_distance(p: DnaSequence | str, r: DnaSequence | str) -> int:
     """Number of positions where p and r differ; lengths must match."""
-    pt, rt = _text(p), _text(r)
-    if len(pt) != len(rt):
-        raise ValueError(f"length mismatch: {len(pt)} vs {len(rt)}")
-    return sum(a != b for a, b in zip(pt, rt))
+    p, r = DnaSequence(p), DnaSequence(r)
+    if len(p) != len(r):
+        raise ValueError(f"length mismatch: {len(p)} vs {len(r)}")
+    return sum(a != b for a, b in zip(p, r))
 
 
 def wc_distance(p: DnaSequence | str, r: DnaSequence | str) -> int:
@@ -118,10 +95,10 @@ def wc_distance(p: DnaSequence | str, r: DnaSequence | str) -> int:
     Equal to hamming_distance(p, complement_sequence(r)); zero exactly when
     p and r are full complements of each other.
     """
-    pt, rt = _text(p), _text(r)
-    if len(pt) != len(rt):
-        raise ValueError(f"length mismatch: {len(pt)} vs {len(rt)}")
-    return sum(a != COMPLEMENT[b] for a, b in zip(pt, rt))
+    p, r = DnaSequence(p), DnaSequence(r)
+    if len(p) != len(r):
+        raise ValueError(f"length mismatch: {len(p)} vs {len(r)}")
+    return sum(a != COMPLEMENT[b] for a, b in zip(p, r))
 
 
 def packed_image(q: DnaSequence | str) -> tuple[int, int]:
@@ -130,8 +107,8 @@ def packed_image(q: DnaSequence | str) -> tuple[int, int]:
     The first base sits in the highest bit, so bit n-1-l of either int
     belongs to 0-based position l.
     """
-    qt = _text(q)
-    return int(qt.translate(_EVEN_BITS), 2), int(qt.translate(_ODD_BITS), 2)
+    q = DnaSequence(q)
+    return int(q.translate(_EVEN_BITS), 2), int(q.translate(_ODD_BITS), 2)
 
 
 def packed_mu(even: int, odd: int, n: int, i: int) -> int:
@@ -168,8 +145,8 @@ def shift_profile(q: DnaSequence | str) -> tuple[int, ...]:
 
 def gc_content(q: DnaSequence | str) -> int:
     """Number of G or C bases in q."""
-    qt = _text(q)
-    return qt.count("G") + qt.count("C")
+    q = DnaSequence(q)
+    return q.count("G") + q.count("C")
 
 
 # 2n-bit encoding of a DNA word, with its even/odd subsequences
@@ -182,9 +159,9 @@ def binary_image(q: DnaSequence | str) -> BinaryImage:
     Bit 2k of the full string is the k-th even bit, bit 2k+1 the k-th odd
     bit. The even subsequence has weight equal to the GC-content.
     """
-    qt = _text(q)
-    even = qt.translate(_EVEN_BITS)
-    odd = qt.translate(_ODD_BITS)
+    q = DnaSequence(q)
+    even = q.translate(_EVEN_BITS)
+    odd = q.translate(_ODD_BITS)
     bits = "".join(e + o for e, o in zip(even, odd))
     return BinaryImage(bits, even, odd)
 
@@ -262,4 +239,4 @@ def write_sequence_file(path: str, sequences: Iterable[DnaSequence | str]) -> No
     """Write sequences to a text file, one per line."""
     with open(path, "w", encoding="ascii") as handle:
         for q in sequences:
-            handle.write(_text(q) + "\n")
+            handle.write(DnaSequence(q) + "\n")

@@ -1268,6 +1268,7 @@ class TestOptionRanges:
         ("screen", "gc_max", "-1", "GC-content must be >= 0, got -1"),
         ("screen", "at_energy", "1", "pair energy must be <= 0, got 1"),
         ("fold", "gc_energy", "1", "pair energy must be <= 0, got 1"),
+        ("fold", "gc_energy", "-1000001", "pair energy must be >= -1000000, got -1000001"),
     ]
 
     def argv(self, tmp_path, command):
@@ -1301,10 +1302,21 @@ class TestOptionRanges:
         ("enumerate", "s", "1"), ("enumerate", "n", "1"), ("count", "w", "0"), ("screen", "max_mu", "0"),
         ("screen", "gc_min", "0"), ("screen", "gc_max", "0"), ("screen", "at_energy", "0"),
         ("fold", "gc_energy", "0"),
+        ("screen", "at_energy", "-1000000"), ("fold", "gc_energy", "-1000000"),
     ])
     def test_bound_itself_is_accepted(self, tmp_path, capsys, command, dest, value):
         flag = cli.OPTIONS[dest][0][0]
         assert cli.main([*self.argv(tmp_path, command), flag, value]) == 0
+
+    def test_lowest_pair_energy_prints_in_full(self, tmp_path, capsys):
+        # |E| <= floor(n/2) * 10^6 at the bound, far below the int-to-str digit limit
+        path = tmp_path / "in.txt"
+        write_lines(path, ["G" * 10 + "C" * 10])
+        assert cli.main(["fold", "--input", str(path), "--gc-energy", "-1000000"]) == 0
+        assert "min_free_energy: -10000000\n" in capsys.readouterr().out
+        code = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "3", "--gc-energy", "-1000000", "--output", str(code)]) == 0
+        assert cli.main(["verify", "--input", str(code), "--gc-energy", "-1000000"]) == 0
 
 
 class TestInputFlag:

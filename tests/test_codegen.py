@@ -19,7 +19,14 @@ from oligoforge.codegen import (
     verify_code,
 )
 from oligoforge.folding import EnergyParams, min_free_energy
-from oligoforge.seqcore import DnaSequence, binary_image, gc_content, mu, sequence_from_even_odd
+from oligoforge.seqcore import (
+    DnaSequence,
+    binary_image,
+    gc_content,
+    mu,
+    read_sequence_file,
+    sequence_from_even_odd,
+)
 
 import oracles
 from fixtures import (
@@ -429,6 +436,19 @@ class TestDnaCodeType:
     def test_codewords_are_sequences(self):
         code = build_dna_code(simplex_code(2))
         assert all(isinstance(w, DnaSequence) for w in code.codewords)
+
+    def test_words_of_files_codes_and_reports_are_sequences(self, tmp_path):
+        built = build_dna_code(simplex_code(3))
+        path = tmp_path / "code.txt"
+        path.write_text("".join(w.lower() + "\n" for w in built.codewords))
+        read = read_sequence_file(str(path))
+        assert read == list(built.codewords)
+        assert all(type(w) is DnaSequence for w in read)
+        for code in (built, load_dna_code(read)):
+            assert all(type(w) is DnaSequence for w in code.codewords)
+            report = verify_code(code)
+            assert all(type(w) is DnaSequence for w in report.energies)
+            assert all(type(w) is DnaSequence for w in report.folded)
 
 
 def _load_tracing():

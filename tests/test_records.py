@@ -33,6 +33,7 @@ RECORDS = {
     "SecondaryStructure": (lambda: traceback(nussinov_table("GGGAAACCC"), "GGGAAACCC"), "pairs"),
     "BinaryImage": (lambda: binary_image("ACGT"), "even"),
     "DnaSequence": (lambda: DnaSequence("acgt"), "text"),
+    "EnergyParams": (lambda: EnergyParams(-2, -3), "at"),
 }
 
 
@@ -61,6 +62,17 @@ class TestRecordValues:
         twin = duplicate(record)
         assert type(twin) is type(record)
         assert twin == record
+
+
+def test_equal_energy_params_are_one_set_element():
+    assert {EnergyParams(), EnergyParams(-1, -2)} == {EnergyParams(at=-1, gc=-2)}
+    assert repr(EnergyParams()) == "EnergyParams(at=-1, gc=-2)"
+
+
+def test_energy_params_copies_are_checked():
+    assert EnergyParams()._replace(at=-3) == EnergyParams(-3, -2)
+    with pytest.raises(ValueError, match="<= 0"):
+        EnergyParams()._replace(gc=1)
 
 
 def test_cli_imports_no_dataclasses_inspect_or_typing():

@@ -109,6 +109,13 @@ class TestDnaSequence:
         assert len({q, DnaSequence("ACGT")}) == 1
         assert len(q) == 4
 
+    def test_is_the_validated_str(self):
+        q = DnaSequence("acgt")
+        assert isinstance(q, str)
+        assert q == "ACGT" and hash(q) == hash("ACGT")
+        assert repr(q) == "DnaSequence('ACGT')"
+        assert type(q[1:]) is str and q[1:] == "CGT"
+
 
 class TestComplementSequence:
     def test_example(self):
