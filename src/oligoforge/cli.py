@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 
 from . import codegen, enumeration, folding, seqcore
 from .seqcore import SequenceParseError
@@ -174,12 +174,13 @@ def _energy_params(args) -> folding.EnergyParams:
     return folding.EnergyParams(at=args.at_energy, gc=args.gc_energy)
 
 
-def _count_table(args, header: str, rows) -> int:
+def _count_table(args, header: str, groups, oracle) -> int:
     """Write a count table, with a brute-force column when args.oracle is set.
 
-    rows yields (label, count, n, predicate) with n <= args.n: count should
-    equal the number of words of length n that satisfy predicate. The
-    oracle's cap is checked against args.n before any output is opened.
+    groups yields (n, prefix, keys, counts): rows f"{prefix}{key}\t{count}" about
+    words of length n <= args.n, written at once; with --oracle a count should
+    equal the number of length-n words passing oracle(key). The oracle's cap
+    is checked against args.n before any output is opened.
     """
     if args.oracle:
         enumeration.check_oracle_cap(args.n)
@@ -192,14 +193,15 @@ def _count_table(args, header: str, rows) -> int:
         with _open_out(args.output) as out:
             out.write(header + ("\toracle\tmatch\n" if args.oracle else "\n"))
             mismatch = False
-            for label, count, n, predicate in rows:
-                if args.oracle:
-                    expected = enumeration.count_brute_force(n, predicate)
-                    ok = count == expected
-                    mismatch = mismatch or not ok
-                    out.write(f"{label}\t{count}\t{expected}\t{'ok' if ok else 'MISMATCH'}\n")
-                else:
-                    out.write(f"{label}\t{count}\n")
+            for n, prefix, keys, counts in groups:
+                rows = []
+                for key, count in zip(keys, counts):
+                    if args.oracle:
+                        expected = enumeration.count_brute_force(n, oracle(key))
+                        mismatch = mismatch or count != expected
+                        count = f"{count}\t{expected}\t{'ok' if count == expected else 'MISMATCH'}"
+                    rows.append(f"{prefix}{key}\t{count}\n")
+                out.write("".join(rows))
     finally:
         set_limit(limit)
     return EXIT_VERIFY if mismatch else EXIT_OK
@@ -336,10 +338,9 @@ def cmd_screen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    table = enumeration.g_series(args.s, args.n)
     predicate = enumeration.mu_zero_predicate(args.s)
-    rows = ((n, table.value(n), n, predicate) for n in range(1, args.n + 1))
-    return _count_table(args, "n\tg_s(n)", rows)
+    groups = ((n, "", (n,), (g,)) for n, g in enumerate(enumeration.g_values(args.s, args.n), 1))
+    return _count_table(args, "n\tg_s(n)", groups, lambda n: predicate)
 
 
 # ---------------------------------------------------------------- gf
@@ -364,28 +365,17 @@ def cmd_count(args) -> int:
     if args.w is not None and (args.mu1 or args.w > args.n):
         raise UsageError(f"-w is a GC-content of count --gc, from 0 to -n ({args.n}), got {args.w}")
     if args.mu1:
-        header = "m\tcount"
-        rows = (
-            (m, enumeration.count_mu1(args.n, m), args.n, enumeration.mu1_equals_predicate(m))
-            for m in range(args.n)
-        )
-    else:
-        series = enumeration.gj_coefficients(args.n)
-        mu1_zero = enumeration.mu_zero_predicate(1)
-        header = "n\tw\tcount"
-        rows = (
-            (
-                f"{n}\t{w}",
-                series.coefficient(n, w),
-                n,
-                # only the even images of weight w get a mask of odd images
-                lambda even, n, w=w: mu1_zero(even, n) if even.bit_count() == w else 0,
-            )
-            for n in range(1, args.n + 1)
-            for w in range(n + 1)
-            if args.w is None or w == args.w
-        )
-    return _count_table(args, header, rows)
+        groups = ((args.n, "", (m,), (enumeration.count_mu1(args.n, m),)) for m in range(args.n))
+        return _count_table(args, "m\tcount", groups, enumeration.mu1_equals_predicate)
+    mu1_zero = enumeration.mu_zero_predicate(1)
+
+    def oracle(w):  # only the even images of weight w get a mask of odd images
+        return lambda even, n: mu1_zero(even, n) if even.bit_count() == w else 0
+
+    weights = slice(None) if args.w is None else slice(args.w, args.w + 1)
+    rows = islice(enumeration.gj_rows(args.n), 1, None)  # row 0 is the empty word's
+    groups = ((n, f"{n}\t", range(n + 1)[weights], row[weights]) for n, row in enumerate(rows, 1))
+    return _count_table(args, "n\tw\tcount", groups, oracle)
 
 
 # ---------------------------------------------------------------- construct

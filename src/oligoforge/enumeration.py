@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 
 DEFAULT_ORACLE_CAP = 12
@@ -191,8 +191,8 @@ class CountTable(namedtuple("CountTable", "s values")):
         return self.values[n]
 
 
-def _series_div(num: list[list[int]], den: list[list[int]], order: int) -> list[list[int]]:
-    """Coefficients of x^0..x^order of num/den as a power series in x.
+def _series_div(num: list[list[int]], den: list[list[int]], order: int):
+    """Yield the coefficients of x^0..x^order of num/den as a power series in x.
 
     Each coefficient is a polynomial in y, listed by ascending power; the
     constant case is a list of one-element lists. den[0] must be [1], so
@@ -202,9 +202,9 @@ def _series_div(num: list[list[int]], den: list[list[int]], order: int) -> list[
     if den[0] != [1]:
         raise ValueError("denominator must have constant term 1")
     steps = [(d, p) for d, p in enumerate(den) if d and any(p)]
-    coeffs: list[list[int]] = []
+    last: deque[list[int]] = deque(maxlen=len(den) - 1)  # all the recurrence reads: last[-d] is c_{k-d}
     for k in range(order + 1):
-        terms = [(p, coeffs[k - d]) for d, p in steps if d <= k]
+        terms = [(p, last[-d]) for d, p in steps if d <= k]
         acc = list(num[k]) if k < len(num) else []
         acc += [0] * (max((len(p) + len(c) - 1 for p, c in terms), default=0) - len(acc))
         for p, c in terms:
@@ -212,27 +212,28 @@ def _series_div(num: list[list[int]], den: list[list[int]], order: int) -> list[
                 if a:
                     for w, v in enumerate(c, j):
                         acc[w] -= a * v
-        coeffs.append(acc)
-    return coeffs
+        last.append(acc)
+        yield acc
 
 
-def g_series(s: int, max_n: int) -> CountTable:
-    """g(s, n) for n = 1..max_n read off the closed-form generating function.
+def g_values(s: int, max_n: int):
+    """g(s, n) for n = 1..max_n in turn, read off the closed-form generating function.
 
-    In the substituted variable x the function is
-    4(x + x^2 + ... + x^s) / (1 - 2x - x^s); the coefficients are produced
-    by exact truncated series division and agree with g_recursive
-    everywhere.
+    In the substituted variable x that is 4(x + ... + x^s) / (1 - 2x - x^s), so
+    g(s, n) is the coefficient of x^(n-1) in 4(1 + ... + x^(s-1)) / (1 - 2x - x^s),
+    found by exact series division; the values agree with g_recursive.
     """
     if s < 1:
         raise ValueError("shift depth must be >= 1")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    num = [[0]] + [[4]] * s
-    den = [[1], [-2]] + [[0]] * (s - 1)
-    den[s] = [den[s][0] - 1]
-    coeffs = _series_div(num, den, max_n)
-    return CountTable(s, {n: coeffs[n][0] for n in range(1, max_n + 1)})
+    den = [[1]] + [[-2 * (d == 1) - (d == s)] for d in range(1, s + 1)]
+    return (c for c, in _series_div([[4]] * s, den, max_n - 1))
+
+
+def g_series(s: int, max_n: int) -> CountTable:
+    """g(s, n) for n = 1..max_n, collected from g_values."""
+    return CountTable(s, dict(enumerate(g_values(s, max_n), 1)))
 
 
 def count_mu1(n: int, m: int) -> int:
@@ -265,21 +266,25 @@ class BivariateSeries(namedtuple("BivariateSeries", "order rows")):
         return row[w] if w < len(row) else 0
 
 
-def gj_coefficients(max_n: int) -> BivariateSeries:
-    """Coefficients counting mu_1 = 0 words by length n and GC-content w.
+def gj_rows(max_n: int):
+    """Rows n = 0..max_n in turn, w = 0..n, of the mu_1 = 0 counts by length n and GC-content w.
 
     The paper's series is 1 / (1 - 2x/(1+x) - 2xy/(1+xy)). Over the common
     denominator (1+x)(1+xy) its denominator reads
     ((1+x)(1+xy) - 2x(1+xy) - 2xy(1+x)) / ((1+x)(1+xy))
     = (1 - x - xy - 3x^2 y) / ((1+x)(1+xy)),
     so the series equals (1+x)(1+xy) / (1 - x - xy - 3x^2 y), and one exact
-    series division gives every coefficient.
+    series division, holding the last two rows, gives every coefficient.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     # polynomials in y per power of x: (1+x)(1+xy) = 1 + (1+y)x + yx^2
-    rows = _series_div([[1], [1, 1], [0, 1]], [[1], [-1, -1], [0, -3]], max_n)
-    return BivariateSeries(max_n, rows)
+    return _series_div([[1], [1, 1], [0, 1]], [[1], [-1, -1], [0, -3]], max_n)
+
+
+def gj_coefficients(max_n: int) -> BivariateSeries:
+    """The rows of gj_rows(max_n), collected."""
+    return BivariateSeries(max_n, list(gj_rows(max_n)))
 
 
 def psi(s: int, z: float) -> float:

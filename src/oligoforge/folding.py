@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from operator import add, neg
+from operator import add, index, neg
 
 from .seqcore import DnaSequence, packed_image
 
@@ -26,14 +26,18 @@ LANE_BLOCK = 2048
 class EnergyParams(namedtuple("EnergyParams", "at gc")):
     """Pairing energies: at for {A,T}, gc for {G,C}, zero elsewhere.
 
-    Both values must be <= 0 (a pairing never raises the energy). Only the
-    two complementary pair classes are tunable; traced structures then pair
-    complementary bases exclusively.
+    Both values must be integers, kept as plain ints, and <= 0 (a pairing
+    never raises the energy). Only the two complementary pair classes are
+    tunable; traced structures then pair complementary bases exclusively.
     """
 
     __slots__ = ()
 
     def __new__(cls, at: int = -1, gc: int = -2):
+        try:
+            at, gc = index(at), index(gc)
+        except TypeError:
+            raise TypeError(f"pair energies must be integers, got at={at!r}, gc={gc!r}") from None
         if at > 0 or gc > 0:
             raise ValueError("pair energies must be <= 0")
         return super().__new__(cls, at, gc)
@@ -79,11 +83,11 @@ class EnergyTable:
     def value(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and j <= self.n and j >= i - 1 and j >= 1):
             raise IndexError(f"no entry ({i},{j}) in a table of size {self.n}")
-        return -self.scores[_offset(self.n, i) + j]
+        return -self.scores[_offsets(self.n)[i] + j]
 
     def row(self, i: int) -> list[int]:
         """value(i, j) for j = max(1, i-1)..n."""
-        at = _offset(self.n, i)
+        at = _offsets(self.n)[i]
         return list(map(neg, self.scores[at + max(1, i - 1) : at + self.n + 1]))
 
     def cells(self) -> list[list[int | str]]:
@@ -96,9 +100,10 @@ class EnergyTable:
         return -self.scores[self.n]
 
 
-def _offset(n: int, i: int) -> int:
-    """_offset(n, i) + j indexes cell (i, j) in the flat scores of a table of size n."""
-    return (i - 1) * (2 * n + 4 - i) // 2 - i + 1
+@cache
+def _offsets(n: int) -> tuple[int, ...]:
+    """_offsets(n)[i] + j indexes cell (i, j) in the flat scores of a table of size n."""
+    return tuple((i - 1) * (2 * n + 4 - i) // 2 - i + 1 for i in range(n + 1))
 
 
 def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
@@ -330,7 +335,7 @@ def traceback(
     if table.n != len(s):
         raise ValueError(f"table size {table.n} does not match sequence length {len(s)}")
     alpha = _pair_table(params)
-    scores, offsets = table.scores, [_offset(table.n, i) for i in range(table.n + 1)]
+    scores, offsets = table.scores, _offsets(table.n)
     pairs = []
     stack = [(1, table.n)]
     while stack:

@@ -722,6 +722,45 @@ class TestCount:
         assert "-w is a GC-content of count --gc" in captured.err
 
 
+class TestCountTablesFromTheLibrary:
+    """The tables count and enumerate write from the streamed series equal
+    tables rebuilt from the collected ones, row for row."""
+
+    @staticmethod
+    def table(header, rows, oracle):
+        if oracle:  # every count agrees with its brute-force count
+            return "".join([header + "\toracle\tmatch\n"] + [f"{key}\t{c}\t{c}\tok\n" for key, c in rows])
+        return "".join([header + "\n"] + [f"{key}\t{c}\n" for key, c in rows])
+
+    @pytest.mark.parametrize("n, w, oracle", [
+        (40, None, False), (40, 0, False), (40, 17, False), (40, 40, False), (7, None, True), (7, 3, True),
+    ])
+    def test_count_gc(self, capsys, n, w, oracle):
+        argv = ["count", "--gc", "-n", str(n)] + ([] if w is None else ["-w", str(w)])
+        assert cli.main(argv + (["--oracle"] if oracle else [])) == 0
+        series = enumeration.gj_coefficients(n)
+        rows = [
+            (f"{k}\t{gc}", series.coefficient(k, gc)) for k in range(1, n + 1) for gc in range(k + 1) if w in (None, gc)
+        ]
+        assert capsys.readouterr().out == self.table("n\tw\tcount", rows, oracle)
+
+    @pytest.mark.parametrize("n, oracle", [(1, False), (30, False), (8, True)])
+    def test_count_mu1(self, capsys, n, oracle):
+        assert cli.main(["count", "--mu1", "-n", str(n)] + (["--oracle"] if oracle else [])) == 0
+        rows = [(m, enumeration.count_mu1(n, m)) for m in range(n)]
+        assert rows[0][1] == enumeration.g_series(1, n).value(n)
+        assert capsys.readouterr().out == self.table("m\tcount", rows, oracle)
+
+    @pytest.mark.parametrize("s, n, oracle", [
+        *((s, 60, False) for s in range(1, 9)), (1, 8, True), (2, 8, True), (3, 8, True),
+    ])
+    def test_enumerate(self, capsys, s, n, oracle):
+        assert cli.main(["enumerate", "-s", str(s), "-n", str(n)] + (["--oracle"] if oracle else [])) == 0
+        table = enumeration.g_series(s, n)
+        rows = [(k, table.value(k)) for k in range(1, n + 1)]
+        assert capsys.readouterr().out == self.table("n\tg_s(n)", rows, oracle)
+
+
 class TestConstruct:
     def test_reference_construction(self, tmp_path, capsys):
         out = tmp_path / "code.txt"

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -15,7 +17,9 @@ from oligoforge.enumeration import (
     g_boundary,
     g_recursive,
     g_series,
+    g_values,
     gj_coefficients,
+    gj_rows,
     growth_check,
     mu1_equals_predicate,
     mu_zero_predicate,
@@ -206,9 +210,9 @@ class TestSeriesCount:
         assert g_series(2, 3).value(3) == 28
 
     def test_agrees_with_recursion(self):
-        for s in range(1, 7):
-            table = g_series(s, 30)
-            for n in range(1, 31):
+        for s in range(1, 9):
+            table = g_series(s, 200)
+            for n in range(1, 201):
                 assert table.value(n) == g_recursive(s, n), (s, n)
 
     def test_validation(self):
@@ -216,6 +220,33 @@ class TestSeriesCount:
             g_series(0, 5)
         with pytest.raises(ValueError):
             g_series(2, 0)
+        # the streams refuse when called, before the first value is asked for
+        with pytest.raises(ValueError):
+            g_values(0, 5)
+        with pytest.raises(ValueError):
+            gj_rows(0)
+
+
+def _size(values) -> int:
+    """Bytes of the ints in values and of the lists holding them."""
+    return sum(sys.getsizeof(v) + _size(v) if isinstance(v, list) else sys.getsizeof(v) for v in values)
+
+
+@pytest.mark.parametrize("stream, collected", [
+    pytest.param(lambda: gj_rows(600), lambda: gj_coefficients(600).rows, id="gj-600"),
+    # s = 1: the recurrence reads one coefficient back, the shortest window
+    pytest.param(lambda: g_values(1, 5000), lambda: g_series(1, 5000).values.values(), id="g1-5000"),
+    pytest.param(lambda: g_values(8, 5000), lambda: g_series(8, 5000).values.values(), id="g8-5000"),
+])
+def test_streams_keep_the_last_rows_not_the_table(stream, collected):
+    tracemalloc.start()
+    try:
+        for _ in stream():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak * 10 < _size(collected())
 
 
 class TestDominantRoot:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,35 @@ class TestEnergyParams:
             EnergyParams(at=1)
         with pytest.raises(ValueError):
             EnergyParams(gc=2)
+
+    @pytest.mark.parametrize("energies, bad", [
+        ((-1.5, -2), "-1.5"),
+        ((-1, -2.0), "-2.0"),
+        ((Fraction(-1), -2), "Fraction(-1, 1)"),
+    ])
+    def test_refuses_non_integers_naming_the_value(self, energies, bad):
+        with pytest.raises(TypeError, match=f"must be integers, got .*{re.escape(bad)}"):
+            EnergyParams(*energies)
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            EnergyParams()._replace(at=energies[0], gc=energies[1])
+
+    def test_integer_types_are_stored_as_ints_and_every_fill_agrees(self):
+        class Energy:  # an integer type other than int, as numpy's are
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        params = EnergyParams(Energy(-3), Energy(-2))
+        assert params == (-3, -2)
+        assert [type(value) for value in params] == [int, int]
+        # 50 words of length 40 are a group of at least n words: both lane fills
+        words = ["GCAT" * 10] * 50
+        sparse = min_free_energy(words[0], params)
+        assert type(sparse) is int
+        assert min_free_energies(words, params) == [sparse] * 50
+        assert [table.min_free_energy for table in folding.energy_tables(words, params)] == [sparse] * 50
 
 
 class TestNussinovTable:
