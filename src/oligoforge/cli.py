@@ -3,9 +3,9 @@
 Commands: fold, screen, enumerate, gf, count, construct, verify. Options
 may come from the command line, a flat key=value config file (--config),
 or built-in defaults, in that order of precedence. Each option is declared
-once in OPTIONS, each command's defaults once in COMMANDS, and the exit
-code of each error once in _EXIT_CODES. Exit codes: 0 success, 1 usage
-error, 2 data/parse error, 3 verification failure.
+once in OPTIONS, each command's defaults and required options once in
+COMMANDS, and the exit code of each error once in _EXIT_CODES. Exit codes:
+0 success, 1 usage error, 2 data/parse error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _fold_format(value: str) -> str:
 # the command line and from a config file; the config keys are these dests.
 OPTIONS = {
     "input": (("--input",), str, "input sequence file"),
-    "output": (("--output",), str, "output file (stdout when unset)"),
+    "output": (("--output",), str, "output file (stdout if optional and unset)"),
     "log": (("--log",), str, "rejection log (stderr when unset)"),
     "meta": (("--meta",), str, "metadata sidecar (<input>.meta.json if present when unset)"),
     "format": (("--format",), _fold_format, "output format: text, csv or json"),
@@ -235,8 +235,6 @@ class _EnergyText(dict):  # score -> the text of its energy, -score, made once
 
 
 def cmd_fold(args) -> int:
-    if args.input is None:
-        raise UsageError("fold requires --input")
     params = _energy_params(args)
     sequences = seqcore.read_sequence_file(args.input)
     energy_text = _EnergyText()
@@ -280,8 +278,6 @@ def cmd_fold(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    if args.input is None:
-        raise UsageError("screen requires --input")
     # one GC range, -w being [w, w]; an empty one would reject every word
     lows = [(getattr(args, d), d) for d in ("gc_min", "w") if getattr(args, d) is not None]
     highs = [(getattr(args, d), d) for d in ("w", "gc_max") if getattr(args, d) is not None]
@@ -382,18 +378,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.m is None:
-        raise UsageError("construct requires -m")
-    if args.output is None:
-        raise UsageError("construct requires --output")
-    generator = args.generator
-    if generator is None:
-        try:
-            generator = codegen.default_generator(args.m)
-        except codegen.SimplexCodeError as exc:
-            # no built-in generator for this m: a usage error, not a failed check
-            raise UsageError(str(exc)) from None
-    simplex = codegen.simplex_code(args.m, generator)
+    try:
+        simplex = codegen.simplex_code(args.m, args.generator)
+    except codegen.SimplexCodeError as exc:
+        if args.generator is not None:
+            raise
+        # no built-in generator for this m: a usage error, not a failed check
+        raise UsageError(str(exc)) from None
     code = codegen.build_dna_code(simplex)
     report = codegen.verify_code(code, _energy_params(args), args.threshold)
     seqcore.write_sequence_file(args.output, code.codewords)
@@ -447,8 +438,6 @@ def _differences(key: str, declared, recomputed) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.input is None:
-        raise UsageError("verify requires --input")
     sequences = seqcore.read_sequence_file(args.input)
     if not sequences:
         raise DataError(f"{args.input}: no sequences to verify")
@@ -495,16 +484,18 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+REQUIRED = object()  # the default of an option a command cannot run without
+
 _OUT = {"output": None}
-_IO = {"input": None, **_OUT}
+_IO = {"input": REQUIRED, **_OUT}
 _ENERGY = {
     "at_energy": folding.DEFAULT_ENERGY_PARAMS.at,
     "gc_energy": folding.DEFAULT_ENERGY_PARAMS.gc,
 }
 _STRUCTURE = {"threshold": folding.DEFAULT_STRUCTURE_THRESHOLD, **_ENERGY}
 
-# name -> (handler, help, {dest: built-in default}); the dests are the
-# options the command takes, and --config comes with every command
+# name -> (handler, help, {dest: built-in default or REQUIRED}): the options the
+# command takes, in the order main names a missing one; --config comes with all
 COMMANDS = {
     "fold": (
         cmd_fold,
@@ -545,7 +536,7 @@ COMMANDS = {
     "construct": (
         cmd_construct,
         "build a simplex-based DNA code",
-        {**_OUT, "m": None, "generator": None, **_STRUCTURE},
+        {"m": REQUIRED, "output": REQUIRED, "generator": None, **_STRUCTURE},
     ),
     "verify": (
         cmd_verify,
@@ -568,7 +559,7 @@ def build_parser() -> _Parser:
             else:
                 kwargs = {"type": converter}
                 if default is not None:
-                    option_help += f" (default: {default})"
+                    option_help += " (required)" if default is REQUIRED else f" (default: {default})"
             p.add_argument(*flags, dest=dest, help=option_help, **kwargs)
     return parser
 
@@ -608,6 +599,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         handler, _, defaults = COMMANDS[args.command]
         _resolve(args, defaults)
+        for dest in defaults:
+            if getattr(args, dest) is REQUIRED:
+                raise UsageError(f"{args.command} requires {OPTIONS[dest][0][0]}")
         return handler(args)
     except Exception as exc:
         for types, code in _EXIT_CODES:

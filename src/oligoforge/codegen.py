@@ -90,9 +90,9 @@ def simplex_code(m: int, generator: str | None = None) -> SimplexCode:
     """
     if m < 2:
         raise SimplexCodeError("dimension must be >= 2")
-    n = 2**m - 1
-    if generator is None:
+    if generator is None:  # before 2^m - 1 is made: m may be far past the built-in ones
         generator = default_generator(m)
+    n = 2**m - 1
     if set(generator) - {"0", "1"}:
         raise SimplexCodeError(f"generator must be a bit string, got {generator!r}")
     if len(generator) != n:

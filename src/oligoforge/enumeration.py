@@ -39,19 +39,14 @@ def oracle_cap() -> int:
     return cap
 
 
-def check_oracle_cap(n: int, cap: int | None = None) -> None:
-    """Refuse an exhaustive walk of length n past the cap.
-
-    The cap is the argument, else the environment override, else 12.
-    """
-    effective_cap = cap if cap is not None else oracle_cap()
-    if n > effective_cap:
-        raise OracleCapError(
-            f"brute-force enumeration of 4^{n} words exceeds the cap of {effective_cap}"
-        )
+def check_oracle_cap(n: int) -> None:
+    """Refuse an exhaustive walk of length n past the cap of oracle_cap()."""
+    cap = oracle_cap()
+    if n > cap:
+        raise OracleCapError(f"brute-force enumeration of 4^{n} words exceeds the cap of {cap}")
 
 
-def count_brute_force(n: int, predicate, cap: int | None = None) -> int:
+def count_brute_force(n: int, predicate) -> int:
     """Count length-n words satisfying predicate by full enumeration.
 
     Every pair of n-bit ints (even, odd) is the packed image
@@ -66,7 +61,7 @@ def count_brute_force(n: int, predicate, cap: int | None = None) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_oracle_cap(n, cap)
+    check_oracle_cap(n)
     return sum(predicate(even, n).bit_count() for even in range(1 << n))
 
 
@@ -289,7 +284,12 @@ def gj_coefficients(max_n: int) -> BivariateSeries:
 
 def psi(s: int, z: float) -> float:
     """Denominator polynomial z^s - 2*z^(s-1) - 1 of the counting series."""
-    return z**s - 2 * z ** (s - 1) - 1
+    try:
+        return z**s - 2 * z ** (s - 1) - 1
+    except OverflowError:  # psi is z^(s-1) * (z - 2) - 1, and a float z > 2 has z - 2 >= 2^-51
+        if z < 2:
+            raise
+        return math.inf if z > 2 else -1.0
 
 
 class GrowthAnalysis(namedtuple("GrowthAnalysis", "s rho tolerance")):

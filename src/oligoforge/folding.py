@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from operator import add, index, neg
 
 from .seqcore import DnaSequence, packed_image
@@ -386,7 +387,7 @@ def has_structure(
     return min_free_energy(q, params) <= threshold
 
 
-class LinearEnergyModel:
+class LinearEnergyModel(namedtuple("LinearEnergyModel", "kappa gammas scale offset weights")):
     """Weighted sum of pairing energies along the first few diagonals.
 
     kappa is a constant offset; gammas must be positive and non-increasing,
@@ -394,9 +395,9 @@ class LinearEnergyModel:
     kappa and the gammas times scale, their least common denominator.
     """
 
-    __slots__ = ("kappa", "gammas", "scale", "offset", "weights")
+    __slots__ = ()
 
-    def __init__(self, kappa=0, gammas=(1,)):
+    def __new__(cls, kappa=0, gammas=(1,)):
         gammas = tuple(Fraction(g) for g in gammas)
         if not gammas:
             raise ValueError("at least one gamma weight is required")
@@ -404,11 +405,14 @@ class LinearEnergyModel:
             raise ValueError("gamma weights must be positive")
         if any(a < b for a, b in zip(gammas, gammas[1:])):
             raise ValueError("gamma weights must be non-increasing")
-        self.kappa = Fraction(kappa)
-        self.gammas = gammas
-        self.scale = math.lcm(self.kappa.denominator, *(g.denominator for g in gammas))
-        self.offset = int(self.kappa * self.scale)
-        self.weights = tuple(int(g * self.scale) for g in gammas)
+        kappa = Fraction(kappa)
+        scale = math.lcm(kappa.denominator, *(g.denominator for g in gammas))
+        weights = tuple(int(g * scale) for g in gammas)
+        return super().__new__(cls, kappa, gammas, scale, int(kappa * scale), weights)
+
+    # _replace and copies rebuild from kappa and gammas, deriving the rest again
+    _make = classmethod(lambda cls, values: cls(*islice(values, 2)))
+    __getnewargs__ = lambda self: self[:2]
 
     @property
     def depth(self) -> int:

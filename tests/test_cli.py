@@ -636,6 +636,22 @@ class TestGf:
         assert abs(float(lines["rho"]) - (1 + math.sqrt(2))) < 1e-9
         assert abs(float(lines["residual"])) < 1e-9
 
+    @pytest.mark.parametrize("s, residual", [
+        ("775", "4.518422333933148e+220"),  # 2.5^775 is the first midpoint past the float range
+        ("1024", "inf"),
+        (str(10**6), "inf"),
+    ])
+    def test_depth_past_the_float_range(self, capsys, s, residual):
+        assert cli.main(["gf", "-s", s]) == 0
+        assert capsys.readouterr().out == (
+            f"s: {s}\nrho: 2.0000000000004547\nresidual: {residual}\ntolerance: 1e-12\n"
+        )
+
+    def test_root_rounded_to_two(self, capsys):
+        # the last bracket [2, 2 + 2^-51] has its midpoint rounded to 2, where psi is -1
+        assert cli.main(["gf", "-s", "2000", "--tol", "1e-300"]) == 0
+        assert "rho: 2.0\nresidual: -1.0\n" in capsys.readouterr().out
+
     def test_nan_tolerance_is_usage_error(self, capsys):
         assert cli.main(["gf", "-s", "2", "--tol", "nan"]) == 1
         captured = capsys.readouterr()
@@ -836,6 +852,7 @@ class TestConstruct:
         for m, message in (
             ("1", "argument -m: simplex dimension -m must be >= 2, got 1"),
             ("9", "no default generator for dimension 9"),
+            ("1000000000", "no default generator for dimension 1000000000"),  # 2^m - 1 never made
         ):
             rc = cli.main(["construct", "-m", m, "--output", str(tmp_path / "x.txt")])
             assert rc == 1
@@ -1375,6 +1392,59 @@ class TestInputFlag:
         cfg.write_text("input=nonexist\ns=2\nn=3\n")
         assert cli.main(["enumerate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == ["1\t4", "2\t12", "3\t28"]
+
+
+class TestRequiredOptions:
+    # argv lacking a required option -> the one error it reports
+    CASES = [
+        (["fold"], "fold requires --input"),
+        (["screen", "-s", "2"], "screen requires --input"),
+        (["verify", "-m", "3"], "verify requires --input"),
+        (["construct"], "construct requires -m"),
+        (["construct", "--output", "code.txt"], "construct requires -m"),
+        (["construct", "-m", "3"], "construct requires --output"),
+    ]
+    REQUIRED = {"fold": {"--input"}, "screen": {"--input"}, "verify": {"--input"}, "construct": {"-m", "--output"}}
+
+    @pytest.mark.parametrize("argv, message", CASES)
+    def test_missing_option_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"oligoforge: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_keys_satisfy_the_requirement(self, tmp_path, capsys):
+        code = tmp_path / "code.txt"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"m=3\noutput={code}\n")
+        assert cli.main(["construct", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        cfg.write_text(f"input={code}\n")
+        for command in ("fold", "screen", "verify"):
+            assert cli.main([command, "--config", str(cfg)]) == 0
+            from_config = capsys.readouterr()
+            assert cli.main([command, "--input", str(code)]) == 0
+            assert capsys.readouterr() == from_config
+
+    @pytest.mark.parametrize("command", ["fold", "screen", "verify"])
+    def test_config_error_is_reported_before_missing_input(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("at_energy=1\n")
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"oligoforge: error: config value '1' is invalid for at_energy ({cfg}:1)\n"
+        )
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_help_marks_required_options(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        marked = {line.split()[0] for line in lines if line.endswith(" (required)")}
+        assert marked == self.REQUIRED.get(command, set())
+        assert not any("when unset" in line for line in lines if line.endswith(" (required)"))
 
 
 class TestUsage:

@@ -42,10 +42,6 @@ class TestBruteForce:
     def test_two_shift_constraint(self):
         assert count_brute_force(3, mu_zero_predicate(2)) == 28
 
-    def test_cap_refuses(self):
-        with pytest.raises(OracleCapError):
-            count_brute_force(3, mu_zero_predicate(1), cap=2)
-
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ORACLE_CAP_ENV, "2")
         assert oracle_cap() == 2
@@ -276,6 +272,14 @@ class TestDominantRoot:
         exact = 1 + math.sqrt(2)
         for tol in (1e-3, 1e-6, 1e-9, 1e-12):
             assert abs(dominant_root(2, tol).rho - exact) <= tol
+
+    def test_psi_past_the_float_range(self):
+        # 2.5^1024 overflows a float; psi is positive above 2 and -1 at 2
+        assert psi(1024, 2.5) == math.inf
+        assert psi(10**6, 2.0000000000004547) == math.inf
+        assert psi(2000, 2.0) == -1.0
+        with pytest.raises(OverflowError):
+            psi(2000, -2.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

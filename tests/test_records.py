@@ -12,8 +12,16 @@ import pytest
 import oligoforge
 from oligoforge.codegen import build_dna_code, code_properties, load_dna_code, simplex_code, verify_code
 from oligoforge.enumeration import dominant_root, g_series, gj_coefficients
-from oligoforge.folding import EnergyParams, nussinov_table, traceback
-from oligoforge.seqcore import DnaSequence, binary_image
+from oligoforge.folding import (
+    DEFAULT_ENERGY_PARAMS,
+    DEFAULT_LINEAR_MODEL,
+    EnergyParams,
+    LinearEnergyModel,
+    nussinov_table,
+    packed_linear_energy,
+    traceback,
+)
+from oligoforge.seqcore import DnaSequence, binary_image, packed_image
 
 WORDS = ["GCGATCA", "ACGTACG", "TTGCAAC"]
 
@@ -34,6 +42,7 @@ RECORDS = {
     "BinaryImage": (lambda: binary_image("ACGT"), "even"),
     "DnaSequence": (lambda: DnaSequence("acgt"), "text"),
     "EnergyParams": (lambda: EnergyParams(-2, -3), "at"),
+    "LinearEnergyModel": (lambda: LinearEnergyModel(1, (1, "1/2")), "gammas"),
 }
 
 
@@ -73,6 +82,20 @@ def test_energy_params_copies_are_checked():
     assert EnergyParams()._replace(at=-3) == EnergyParams(-3, -2)
     with pytest.raises(ValueError, match="<= 0"):
         EnergyParams()._replace(gc=1)
+
+
+def test_linear_model_copies_derive_their_weights():
+    model = LinearEnergyModel(0, (1,))
+    assert packed_linear_energy(*packed_image("GCGC"), 4, model, DEFAULT_ENERGY_PARAMS) == -6
+    heavier = model._replace(gammas=(5,))
+    assert heavier == LinearEnergyModel(0, (5,))
+    assert packed_linear_energy(*packed_image("GCGC"), 4, heavier, DEFAULT_ENERGY_PARAMS) == -30
+    with pytest.raises(ValueError, match="non-increasing"):
+        model._replace(gammas=(1, 2))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        model._replace(weights=(5,))  # derived from gammas, not set apart
+    assert {DEFAULT_LINEAR_MODEL, LinearEnergyModel(0, (1, "1/2", "1/4", "1/8"))} == {DEFAULT_LINEAR_MODEL}
+    assert repr(model) == "LinearEnergyModel(kappa=0, gammas=(Fraction(1, 1),))"
 
 
 def test_cli_imports_no_dataclasses_inspect_or_typing():
