@@ -16,7 +16,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, islice
 
 from . import codegen, enumeration, folding, seqcore
@@ -221,11 +221,19 @@ def _json_rows(rows: list[str]) -> str:
     return "[\n      [\n        " + "\n      ],\n      [\n        ".join(rows) + "\n      ]\n    ]"
 
 
-@cache
 def _json_table(n: int) -> str:
     """A table's JSON value, a %s per score of its flat scores[1:] (folding.EnergyTable)."""
     cells = (["%s"] * (n + 1 - max(1, i - 1)) for i in range(1, n + 1))
     return _json_rows([('"*"' + _CELL) * (i - 2) + _CELL.join(row) for i, row in enumerate(cells, 1)])
+
+
+# A template holds about n^2 cells. The ones up to length 64 take ~1 MiB in
+# all and are all kept. Of the longer ones only the last is kept, so a run of
+# words of one length builds its template once; a new length's costs about a
+# tenth of the time the word's fill and formatting take.
+_KEPT_TABLE_LENGTH = 64
+_kept_json_table = cache(_json_table)
+_last_json_table = lru_cache(maxsize=1)(_json_table)
 
 
 class _EnergyText(dict):  # score -> the text of its energy, -score, made once
@@ -247,7 +255,8 @@ def cmd_fold(args) -> int:
             if args.format == "json":
                 # One record at a time, in the bytes json.dumps(records, indent=2)
                 # gives. q is upper-case ACGT and needs no escaping.
-                cells = _json_table(table.n) % tuple(map(energy_text.__getitem__, table.scores[1:]))
+                template = (_kept_json_table if table.n <= _KEPT_TABLE_LENGTH else _last_json_table)(table.n)
+                cells = template % tuple(map(energy_text.__getitem__, table.scores[1:]))
                 out.write(
                     f'{"," if count else ""}\n  {{\n    "sequence": "{q}",\n'
                     f'    "min_free_energy": {energy},\n'
@@ -422,6 +431,13 @@ def _load_sidecar(path: str) -> dict:
     return declared
 
 
+def _value_text(value) -> str:
+    """A sidecar value in a failure line: a string quoted, a per-word dict by its size."""
+    if isinstance(value, dict):
+        return f"{len(value)} per-word values"
+    return json.dumps(value) if isinstance(value, str) else str(value)
+
+
 def _differences(key: str, declared, recomputed) -> list[str]:
     """One line per declared value that differs from the recomputed one;
     a dict of per-word values is compared word by word, and other values
@@ -434,7 +450,7 @@ def _differences(key: str, declared, recomputed) -> list[str]:
         ]
     if type(declared) is type(recomputed) and declared == recomputed:
         return []
-    return [f"{key}: declared {declared}, recomputed {recomputed}"]
+    return [f"{key}: declared {_value_text(declared)}, recomputed {_value_text(recomputed)}"]
 
 
 def cmd_verify(args) -> int:
@@ -450,9 +466,8 @@ def cmd_verify(args) -> int:
         declared = {}
     m = args.m if args.m is not None else declared.get("m")
     generator = declared.get("generator")
-    # dimension m means length 2^m - 1, m ones: read bit by bit, as a huge 2^m cannot be made
     length = len(sequences[0])
-    fits = m is None or (m == length.bit_length() and length & (length + 1) == 0)
+    fits = m is None or codegen.is_simplex_length(length, m)
     try:  # an m that does not fit gives no mu bound or GC target
         code = codegen.load_dna_code(sequences, m=m if fits else None, generator=generator)
     except ValueError as exc:  # -m and the sidecar's m are checked already, so the words are at fault

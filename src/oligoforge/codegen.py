@@ -77,42 +77,42 @@ class SimplexCode(namedtuple("SimplexCode", "m n codewords")):
         return self.codewords[0]
 
 
+def is_simplex_length(length: int, m: int) -> bool:
+    """Whether length is 2^m - 1, read from its bits (m ones), so no 2^m is made."""
+    return length.bit_length() == m and length & (length + 1) == 0
+
+
 def simplex_code(m: int, generator: str | None = None) -> SimplexCode:
     """Build and verify the simplex code of dimension m.
 
-    The generator's n cyclic shifts must be distinct, of constant weight
-    2^(m-1), and closed under XOR together with zero. Every property is
-    checked, including for the built-in default generators.
+    The generator must be of length n = 2^m - 1 and weight 2^(m-1), and
+    g ^ s must be zero or a shift for each of its n cyclic shifts s. Every
+    property is checked, including for the built-in default generators.
 
-    Any two distinct shifts a, b then intersect in exactly 2^(m-2)
-    positions, so that is not checked apart: a ^ b is nonzero, hence one
-    of the shifts, of weight 2^(m-1) = |a| + |b| - 2|a & b| = 2^m - 2|a & b|.
+    The rest follows. Rotation permutes the shifts and commutes with XOR,
+    so rot_a g ^ rot_b g = rot_a(g ^ rot_(b-a) g): the shifts with zero are
+    closed under XOR. A generator of period p repeats its first p bits n/p
+    times, an odd number as n is odd, so n/p divides the weight 2^(m-1) and
+    p = n: the shifts are distinct. Any two distinct shifts a, b then
+    intersect in exactly 2^(m-2) positions: a ^ b is nonzero, hence one of
+    the shifts, of weight 2^(m-1) = |a| + |b| - 2|a & b| = 2^m - 2|a & b|.
     """
     if m < 2:
         raise SimplexCodeError("dimension must be >= 2")
-    if generator is None:  # before 2^m - 1 is made: m may be far past the built-in ones
+    if generator is None:  # before any 2^m is made: m may be far past the built-in ones
         generator = default_generator(m)
-    n = 2**m - 1
     if set(generator) - {"0", "1"}:
         raise SimplexCodeError(f"generator must be a bit string, got {generator!r}")
-    if len(generator) != n:
-        raise SimplexCodeError(
-            f"generator length {len(generator)} != 2^{m} - 1 = {n}"
-        )
-    weight = 2 ** (m - 1)
-    if generator.count("1") != weight:
-        raise SimplexCodeError(
-            f"generator has weight {generator.count('1')}, expected {weight}"
-        )
+    n = len(generator)
+    if not is_simplex_length(n, m):
+        raise SimplexCodeError(f"generator length {n} != 2^{m} - 1")
+    if (weight := generator.count("1")) != 2 ** (m - 1):
+        raise SimplexCodeError(f"generator has weight {weight}, expected {2 ** (m - 1)}")
     shifts = [generator[k:] + generator[:k] for k in range(n)]
-    if len(set(shifts)) != n:
-        raise SimplexCodeError("cyclic shifts of the generator are not distinct")
-    ints = [int(w, 2) for w in shifts]
-    members = set(ints) | {0}
-    for a in ints:
-        for b in ints:
-            if a ^ b not in members:
-                raise SimplexCodeError("shifts plus zero are not closed under XOR")
+    members = {int(w, 2) for w in shifts} | {0}
+    g = int(generator, 2)
+    if any(g ^ s not in members for s in members):
+        raise SimplexCodeError("shifts plus zero are not closed under XOR")
     return SimplexCode(m, n, tuple(shifts))
 
 

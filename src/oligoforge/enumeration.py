@@ -194,8 +194,6 @@ def _series_div(num: list[list[int]], den: list[list[int]], order: int):
     c_k = num_k - sum_{d>=1} den_d * c_{k-d} is the linear recurrence whose
     solution is the series (Stanley, Enumerative Combinatorics I, 4.1).
     """
-    if den[0] != [1]:
-        raise ValueError("denominator must have constant term 1")
     steps = [(d, p) for d, p in enumerate(den) if d and any(p)]
     last: deque[list[int]] = deque(maxlen=len(den) - 1)  # all the recurrence reads: last[-d] is c_{k-d}
     for k in range(order + 1):

@@ -125,3 +125,18 @@ def naive_min_distance(words) -> int:
     return min(
         naive_hamming(a, b) for a, b in itertools.combinations(texts, 2)
     )
+
+
+def is_simplex_generator(m: int, generator: str) -> bool:
+    """Whether the cyclic shifts of generator are the nonzero words of a
+    simplex code of dimension m >= 2, from the definition: length 2^m - 1,
+    weight 2^(m-1), n distinct shifts, and the XOR of every pair of shifts
+    zero or a shift (n^2 XORs)."""
+    n = 2**m - 1
+    if m < 2 or len(generator) != n or set(generator) - {"0", "1"}:
+        return False
+    if generator.count("1") != 2 ** (m - 1):
+        return False
+    shifts = {int(generator[k:] + generator[:k], 2) for k in range(n)}
+    members = shifts | {0}
+    return len(shifts) == n and all(members.issuperset(map(a.__xor__, shifts)) for a in shifts)

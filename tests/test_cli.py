@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -244,6 +245,31 @@ class TestFold:
         assert rc == 2
         assert f"{path}:2:" in err
         assert "non-ASCII byte 0xc3 at position 3" in err
+
+    def test_long_json_templates_are_not_kept(self, tmp_path):
+        # a length's template holds about n^2 cells; past the kept lengths
+        # only the last is kept, so one fold of lengths 130-160 keeps no
+        # ~8 MB of them
+        path, out = tmp_path / "in.txt", tmp_path / "out.json"
+        write_lines(path, [seeded_words("ACGT", n, 1)[0] for n in range(130, 161)])
+        tracemalloc.start()
+        try:
+            assert cli.main(["fold", "--input", str(path), "--format", "json", "--output", str(out)]) == 0
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
+        assert json.loads(out.read_text())[-1]["sequence"] == seeded_words("ACGT", 160, 1)[0]
+
+    def test_a_run_of_one_long_length_builds_its_template_once(self, tmp_path):
+        path, out = tmp_path / "in.txt", tmp_path / "out.json"
+        words = seeded_words("ACGT", 70, 3) + seeded_words("ACGT", 80, 2)
+        write_lines(path, words)
+        cli._last_json_table.cache_clear()
+        assert cli.main(["fold", "--input", str(path), "--format", "json", "--output", str(out)]) == 0
+        info = cli._last_json_table.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
+        assert out.read_text() == json.dumps(fold_records(words), indent=2) + "\n"
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "in.txt"
@@ -861,6 +887,14 @@ class TestConstruct:
         rc = cli.main(["construct", "-m", "9", "--generator", bad, "--output", str(tmp_path / "x.txt")])
         assert rc == 3
 
+    def test_huge_dimension_with_a_generator_fails_on_its_length(self, tmp_path, capsys):
+        # the length is read bit by bit: 2^m - 1 is never made or printed
+        out = tmp_path / "x.txt"
+        rc = cli.main(["construct", "-m", "100000000", "--generator", "1", "--output", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "oligoforge: error: generator length 1 != 2^100000000 - 1\n"
+        assert not out.exists()
+
 
 class TestVerify:
     def test_constructed_code_verifies(self, tmp_path, capsys):
@@ -954,6 +988,17 @@ class TestVerify:
         else:
             assert rc == 3
             assert failures == [f"failure: {key}: declared {value}, recomputed {recomputed}"]
+
+    @pytest.mark.parametrize("key,value,failure", [
+        ("energies", [], "energies: declared [], recomputed 49 per-word values"),
+        ("energies", 7, "energies: declared 7, recomputed 49 per-word values"),
+        ("size", {"AAAAAAA": 0}, "size: declared 1 per-word values, recomputed 49"),
+        ("size", "49", 'size: declared "49", recomputed 49'),
+        ("threshold", "-2", 'threshold: declared "-2", recomputed -2'),
+    ])
+    def test_failure_lines_name_a_per_word_count_and_quote_strings(self, tmp_path, capsys, key, value, failure):
+        rc, failures, _ = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update({key: value}))
+        assert (rc, failures) == (3, [f"failure: {failure}"])
 
     def test_tampered_energy_names_the_word(self, tmp_path, capsys):
         rc, failures, _ = self.verify_tampered(

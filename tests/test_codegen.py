@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from oligoforge.codegen import (
     code_properties,
     default_generator,
     holds_simplex_code,
+    is_simplex_length,
     load_dna_code,
     simplex_code,
     verify_code,
@@ -119,6 +121,87 @@ class TestSimplexCode:
     def test_no_default_for_large_dimension(self):
         with pytest.raises(SimplexCodeError, match="no default generator"):
             default_generator(9)
+
+
+def half_weight_words(m):
+    """Every word of length 2^m - 1 and weight 2^(m-1)."""
+    n = 2**m - 1
+    for ones in itertools.combinations(range(n), 2 ** (m - 1)):
+        yield "".join("1" if k in ones else "0" for k in range(n))
+
+
+def accepts(m, generator):
+    try:
+        simplex_code(m, generator)
+    except SimplexCodeError:
+        return False
+    return True
+
+
+class TestSimplexChecks:
+    """simplex_code checks closure on the generator's n shifts, where the
+    definition (oracles.is_simplex_generator) XORs all n^2 pairs."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_agrees_with_the_quadratic_check_on_every_half_weight_word(self, m):
+        accepted = [g for g in half_weight_words(m) if accepts(m, g)]
+        assert accepted == [g for g in half_weight_words(m) if oracles.is_simplex_generator(m, g)]
+        assert len(accepted) == {2: 3, 3: 14, 4: 30}[m]
+
+    @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYNOMIALS))
+    def test_every_rotation_of_a_default_generator_and_its_reversal_is_accepted(self, m):
+        for g in (default_generator(m), default_generator(m)[::-1]):
+            # a rotation has the same shifts, so the same quadratic verdict
+            assert oracles.is_simplex_generator(m, g)
+            assert all(accepts(m, g[k:] + g[:k]) for k in range(len(g)))
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_agrees_with_the_quadratic_check_on_seeded_words(self, m):
+        # half-weight words at random, and rotations of the default generator
+        # with a one and a zero swapped
+        rng = random.Random(m)
+        n, g = 2**m - 1, default_generator(m)
+        words = []
+        for _ in range(1500):
+            ones = set(rng.sample(range(n), 2 ** (m - 1)))
+            words.append("".join("1" if k in ones else "0" for k in range(n)))
+            k = rng.randrange(n)
+            bits = list(g[k:] + g[:k])
+            i, j = rng.choice([p for p in range(n) if bits[p] == "1"]), rng.choice([p for p in range(n) if bits[p] == "0"])
+            bits[i], bits[j] = "0", "1"
+            words.append("".join(bits))
+        words += [g[k:] + g[:k] for k in range(n)]
+        assert [accepts(m, w) for w in words] == [oracles.is_simplex_generator(m, w) for w in words]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_no_half_weight_word_has_a_repeated_rotation(self, m):
+        # so once the weight holds, the n shifts are distinct without a check
+        n = 2**m - 1
+        for g in half_weight_words(m):
+            assert len({g[k:] + g[:k] for k in range(n)}) == n, g
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_generator_length_must_be_two_to_the_m_less_one(self, m):
+        g = default_generator(m)
+        for length in (2**m - 2, 2**m):
+            with pytest.raises(SimplexCodeError, match=rf"^generator length {length} != 2\^{m} - 1$"):
+                simplex_code(m, (g * 2)[:length])
+        assert simplex_code(m, g).n == 2**m - 1
+
+    @pytest.mark.parametrize("m,generator", [(1, "1"), (0, "")])
+    def test_dimension_below_two_is_refused_though_the_length_fits(self, m, generator):
+        assert is_simplex_length(len(generator), m)
+        with pytest.raises(SimplexCodeError, match="dimension must be >= 2"):
+            simplex_code(m, generator)
+
+    def test_length_rule(self):
+        for m in range(1, 80):
+            n = 2**m - 1
+            assert is_simplex_length(n, m)
+            assert not any(is_simplex_length(length, m) for length in (n - 1, n + 1, n + 2, 2 * n))
+            assert not is_simplex_length(n, m + 1) and not is_simplex_length(n, m - 1)
+        # read from the length's bits: a huge m costs nothing
+        assert not is_simplex_length(7, 10**12)
 
 
 class TestBuildDnaCode:
