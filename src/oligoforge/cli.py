@@ -5,7 +5,8 @@ may come from the command line, a flat key=value config file (--config),
 or built-in defaults, in that order of precedence. Each option is declared
 once in OPTIONS, each command's defaults and required options once in
 COMMANDS, and the exit code of each error once in _EXIT_CODES. Exit codes:
-0 success, 1 usage error, 2 data/parse error, 3 verification failure.
+0 success, 1 usage error, 2 data/parse error, 3 verification failure; a
+handler returns 3 with the report or rows that show the failed check.
 """
 
 from __future__ import annotations
@@ -52,7 +53,12 @@ def _parse_bool(value: str) -> bool:
 
 
 def _fraction(value: str) -> Fraction:
+    # Fraction("1e10000000") would take seconds to build a 33-million-bit int:
+    # a decimal exponent is held to 4300, the digits int() takes from a string
+    _, e, exponent = value.strip().lower().partition("e")
     try:
+        if e and abs(int(exponent)) > 4300:
+            raise ValueError
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {value!r}") from None
@@ -387,14 +393,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        simplex = codegen.simplex_code(args.m, args.generator)
-    except codegen.SimplexCodeError as exc:
-        if args.generator is not None:
-            raise
-        # no built-in generator for this m: a usage error, not a failed check
-        raise UsageError(str(exc)) from None
-    code = codegen.build_dna_code(simplex)
+    # a generator it rejects, or no built-in one for m, is a bad -m or --generator
+    code = codegen.build_dna_code(codegen.simplex_code(args.m, args.generator))
     report = codegen.verify_code(code, _energy_params(args), args.threshold)
     seqcore.write_sequence_file(args.output, code.codewords)
     with open(args.output + ".meta.json", "w", encoding="ascii") as handle:
@@ -482,18 +482,14 @@ def cmd_verify(args) -> int:
             raise DataError(f"{meta_path}: unknown sidecar key {key!r}")
         failures += _differences(key, value, recomputed[key])
     if generator is not None and fits:
-        if m is None:
-            raise codegen.SimplexCodeError(f"{meta_path}: generator: no m to check it against")
-        try:
-            simplex = codegen.simplex_code(m, generator)
-        except codegen.SimplexCodeError as exc:
-            raise codegen.SimplexCodeError(f"{meta_path}: generator: {exc}") from None
-        if not codegen.holds_simplex_code(code, simplex):
-            failures.append(f"generator: {args.input} does not hold the code of {generator}")
+        try:  # without an m, the words' length gives the only one that can fit
+            simplex = codegen.simplex_code(length.bit_length() if m is None else m, generator)
+            if not codegen.holds_simplex_code(code, simplex):
+                failures.append(f"generator: {args.input} does not hold the code of {generator}")
+        except codegen.SimplexCodeError as exc:  # a rejected generator is a failed check
+            failures.append(f"generator: {exc}")
     with _open_out(args.output) as out:  # the verdict covers every failure line
         out.write(report._replace(failures=failures).render_text() + "\n")
-        for failure in failures:
-            out.write(f"failure: {failure}\n")
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -579,10 +575,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-# first match wins: SequenceParseError and SimplexCodeError are ValueErrors
+# first match wins: SequenceParseError is a ValueError. Exit 3 is no error:
+# a handler returns it with the report or rows that show the failed check
 _EXIT_CODES = (
     ((SequenceParseError, DataError, OSError), EXIT_DATA),
-    (codegen.SimplexCodeError, EXIT_VERIFY),
     ((UsageError, ValueError), EXIT_USAGE),
 )
 

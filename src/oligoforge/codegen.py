@@ -316,6 +316,7 @@ class VerificationReport(
         return self.mu_bound is None or self.properties.max_shift_match <= self.mu_bound
 
     def render_text(self) -> str:
+        """The facts, the verdict, then one failure: line per failure."""
         props = self.properties
         lines = [
             f"codewords: {props.size}",
@@ -334,6 +335,7 @@ class VerificationReport(
             f"folded_at_threshold_{self.threshold}: {len(self.folded)} of {props.size}"
         )
         lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
+        lines += [f"failure: {failure}" for failure in self.failures]
         return "\n".join(lines)
 
 

@@ -831,7 +831,7 @@ class TestConstruct:
             ["construct", "-m", "3", "--generator", "1111111", "--output", str(tmp_path / "x.txt")]
         )
         captured = capsys.readouterr()
-        assert rc == 3
+        assert rc == 1
         assert "weight 7" in captured.err
 
     def test_m2_code(self, tmp_path, capsys):
@@ -885,13 +885,13 @@ class TestConstruct:
             assert message in capsys.readouterr().err
         bad = "1" * 256 + "0" * 255
         rc = cli.main(["construct", "-m", "9", "--generator", bad, "--output", str(tmp_path / "x.txt")])
-        assert rc == 3
+        assert rc == 1
 
     def test_huge_dimension_with_a_generator_fails_on_its_length(self, tmp_path, capsys):
         # the length is read bit by bit: 2^m - 1 is never made or printed
         out = tmp_path / "x.txt"
         rc = cli.main(["construct", "-m", "100000000", "--generator", "1", "--output", str(out)])
-        assert rc == 3
+        assert rc == 1
         assert capsys.readouterr().err == "oligoforge: error: generator length 1 != 2^100000000 - 1\n"
         assert not out.exists()
 
@@ -1036,8 +1036,8 @@ class TestVerify:
             tmp_path, capsys, lambda meta: meta.update(generator=generator)
         )
         assert rc == 3
-        assert failures == []
-        assert err == f"oligoforge: error: {tmp_path / 'code.txt.meta.json'}: {message}\n"
+        assert failures == [f"failure: {message}"]
+        assert err == ""
 
     @pytest.mark.parametrize("generator,failures", [
         ("1001011", [f"failure: generator: {{path}} does not hold the code of 1001011"]),
@@ -1050,9 +1050,9 @@ class TestVerify:
         assert rc == (3 if failures else 0)
 
     def test_generator_without_dimension(self, tmp_path, capsys):
-        rc, _, err = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(m=None))
-        assert rc == 3
-        assert "code.txt.meta.json: generator: no m to check it against" in err
+        # the length 7 gives m = 3 for the generator check alone: no mu bound
+        rc, failures, err = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(m=None))
+        assert (rc, failures, err) == (3, ["failure: mu_bound: declared 2, recomputed None"], "")
         # -m supplies it
         rc, failures, _ = self.verify_tampered(tmp_path, capsys, lambda meta: meta.update(m=None), "-m", "3")
         assert (rc, failures) == (3, ["failure: m: declared None, recomputed 3"])
@@ -1408,6 +1408,30 @@ class TestOptionRanges:
     def test_bound_itself_is_accepted(self, tmp_path, capsys, command, dest, value):
         flag = cli.OPTIONS[dest][0][0]
         assert cli.main([*self.argv(tmp_path, command), flag, value]) == 0
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize("value,accepted", [
+        ("1e4300", True), ("1e-4300", True), ("1e4301", False), ("-1E+4301", False), ("1e-4301", False),
+    ])
+    def test_fraction_exponent_is_bounded(self, tmp_path, capsys, from_config, value, accepted):
+        # Fraction("1e10000000") builds a 33-million-bit int, in seconds
+        argv = self.argv(tmp_path, "screen")
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"approx_threshold={value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append(f"--approx-threshold={value}")
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        if accepted:  # ACGTAC scores -15/4, so it is rejected at either threshold
+            assert (rc, captured.out, captured.err) == (0, "", "ACGTAC\trejected\tapprox_energy -15/4\n")
+        elif from_config:
+            assert (rc, captured.out) == (1, "")
+            assert captured.err == f"oligoforge: error: config value {value!r} is invalid for approx_threshold ({cfg}:1)\n"
+        else:
+            assert (rc, captured.out) == (1, "")
+            assert captured.err.endswith(f"argument --approx-threshold: invalid Fraction value: {value!r}\n")
 
     def test_lowest_pair_energy_prints_in_full(self, tmp_path, capsys):
         # |E| <= floor(n/2) * 10^6 at the bound, far below the int-to-str digit limit

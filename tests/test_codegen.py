@@ -56,8 +56,8 @@ class TestSimplexCode:
 
     @pytest.mark.parametrize("m,generators", [(3, 14), (4, 30)])
     def test_every_accepted_generator_intersects_in_a_quarter(self, m, generators):
-        # simplex_code checks weight, distinct shifts and XOR closure; the
-        # pairwise intersections of 2^(m-2) follow, over every candidate
+        # simplex_code checks weight and XOR closure; the pairwise
+        # intersections of 2^(m-2) follow, over every candidate
         n, quarter = 2**m - 1, 2 ** (m - 2)
         accepted = 0
         for ones in itertools.combinations(range(n), 2 * quarter):
