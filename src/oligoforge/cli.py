@@ -121,11 +121,13 @@ OPTIONS = {
 def load_config(path: str) -> dict[str, tuple[str, int]]:
     """Flat key=value file, read through seqcore.data_lines: dest -> (value, line).
 
-    A key may appear once.
+    A key may appear once, and a line holds no control character but tabs.
     """
     values = {}
     try:
         for lineno, line in seqcore.data_lines(path):
+            if not line.replace("\t", " ").isprintable():  # str.strip() and int() would drop some
+                raise UsageError(f"{path}:{lineno}: control character in {line!r}")
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
@@ -420,6 +422,8 @@ def _load_sidecar(path: str) -> dict:
             raise DataError(f"{path}: not an ASCII file") from None
         except ValueError as exc:  # an integer past the int-to-str digit limit
             raise DataError(f"{path}: {exc}") from None
+        except RecursionError:  # arrays or objects nested past the recursion limit
+            raise DataError(f"{path}: malformed JSON: nested too deeply") from None
     if not isinstance(declared, dict):
         raise DataError(f"{path}: expected a JSON object at the top level")
     # null is what code_metadata writes for a code without them

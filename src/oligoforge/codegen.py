@@ -6,6 +6,10 @@ codewords are the n cyclic shifts of a single generator, all of weight
 every ordered (even, odd) combination of nonzero codewords through the
 two-bit base encoding yields (2^m - 1)^2 DNA words of constant GC-content
 2^(m-1) whose shift-match counts never exceed 2^(m-2).
+
+Those bounds hold by construction, and code_properties takes the minimum
+distance 2^(m-1) and max mu 2^(m-2) from it when the words alone show that
+they are exactly such a code; any other word set goes through pair loops.
 """
 
 from __future__ import annotations
@@ -168,8 +172,8 @@ def _rotate(image: int, k: int, length: int) -> int:
     return (image << k | image >> length - k) & ((1 << length) - 1)
 
 
-def code_properties(codewords) -> CodeProperties:
-    """Compute the metadata of an arbitrary equal-length codeword set.
+def _pair_loops(words, length, step, representatives, images) -> tuple[int, int]:
+    """Minimum distance and max mu of any code, from every pair that holds a representative.
 
     Each distinct word is packed once. Distances and shift-match counts go
     through the packed binary images: positions differ exactly where the
@@ -188,17 +192,9 @@ def code_properties(codewords) -> CodeProperties:
     most cmu(w, i) = popcount(~(E ^ rot_i E) & (O ^ rot_i O)), and the
     rotations are counted only where cmu exceeds the maximum so far.
     """
-    words = [DnaSequence(w) for w in codewords]
-    if not words:
-        raise ValueError("empty code")
-    length = len(words[0])
-    if any(len(w) != length for w in words):
-        raise ValueError("codewords must have equal length")
     distinct = dict.fromkeys(words)  # in first-occurrence order
-    step, representatives = _rotation_orbits(words, length)
     chosen = set(representatives)
-    ordered = [packed_image(t) for t in representatives]
-    ordered += [packed_image(w) for w in distinct if w not in chosen]
+    ordered = images + [packed_image(w) for w in distinct if w not in chosen]
     min_distance = 0 if len(distinct) < len(words) else None
     for idx in range(len(representatives)):
         e1, o1 = ordered[idx]
@@ -206,10 +202,8 @@ def code_properties(codewords) -> CodeProperties:
             d = ((e1 ^ e2) | (o1 ^ o2)).bit_count()
             if min_distance is None or d < min_distance:
                 min_distance = d
-    gc_values = tuple(sorted({e.bit_count() for e, _ in ordered}))
-    common_gc = gc_values[0] if len(gc_values) == 1 else None
     max_mu = 0
-    for e, o in ordered[: len(representatives)]:
+    for e, o in images:
         for i in range(1, length):
             cyclic = ~(e ^ _rotate(e, i, length)) & (o ^ _rotate(o, i, length))
             if cyclic.bit_count() <= max_mu:
@@ -218,11 +212,92 @@ def code_properties(codewords) -> CodeProperties:
                 max_mu = max(
                     max_mu, packed_mu(_rotate(e, k, length), _rotate(o, k, length), length, i)
                 )
+    return min_distance, max_mu
+
+
+def _holds(simplex: SimplexCode, size: int, length: int, step: int, images) -> bool:
+    """Whether a multiset of size words of this length, rotation step and
+    representatives' packed images is exactly simplex's DNA code.
+
+    That code holds n^2 distinct words of length n, in n orbits of n under
+    rotation by 1, and a word is in it when its even and odd images are
+    both shifts of the generator. A multiset closed under rotation by 1 is
+    its representatives' orbits, each word of an orbit repeated alike; a
+    representative whose images are shifts has n distinct rotations. So n^2
+    such words with rotation step 1 are that code exactly when there are n
+    representatives and each one's images are shifts.
+    """
+    n = simplex.n
+    shifts = {int(c, 2) for c in simplex.codewords}
+    return (
+        size == n * n
+        and length == n
+        and step == 1
+        and len(images) == n
+        and all(e in shifts and o in shifts for e, o in images)
+    )
+
+
+def _simplex_dimension(size: int, length: int, step: int, images) -> int | None:
+    """m when the words are exactly the DNA code of a simplex code of
+    dimension m (see _holds), read from the words alone; else None.
+
+    The length fixes m. Every word of such a code has shifts of the
+    generator for images, and those shifts generate the same code, so the
+    first representative's even image serves as the generator.
+    """
+    m = length.bit_length()
+    try:
+        simplex = simplex_code(m, format(images[0][0], f"0{length}b"))
+    except SimplexCodeError:  # no simplex generator, or a length that is not 2^m - 1
+        return None
+    return m if _holds(simplex, size, length, step, images) else None
+
+
+def code_properties(codewords) -> CodeProperties:
+    """Compute the metadata of an arbitrary equal-length codeword set.
+
+    One orbit pass finds the rotation step and the representatives, which
+    are packed once. GC-content does not change under rotation, so the
+    representatives' even images give every value.
+
+    The minimum distance and the largest shift-match count come from the
+    construction when the words are exactly the DNA code of a simplex code
+    of dimension m (_simplex_dimension; n = 2^m - 1), and from the pair
+    loops (_pair_loops) otherwise. For that code, word (c_a, c_b) has the
+    shifts c_a and c_b of the generator for its even and odd images:
+
+    - min distance 2^(m-1). Words (c_a, c_b) and (c_a', c_b') differ where
+      c_a != c_a' or c_b != c_b'. With a = a' that is the |c_b ^ c_b'| =
+      2^(m-1) positions, c_b ^ c_b' being a shift; otherwise it is a
+      superset of the 2^(m-1) positions of c_a ^ c_a'.
+    - max mu 2^(m-2). At shift i, c_a ^ rot_i c_a is a shift c_(a+t), with
+      t fixed by i, so the cyclic match count of (c_a, c_b) is
+      |~c_(a+t) & c_(b+t)|: 2^(m-2) when a != b and 0 when a = b, and the
+      linear count is at most the cyclic one. The code is closed under
+      rotation, so some rotation of a word with a != b puts a non-match at
+      the one wrapped position of shift 1; there are n - 2^(m-2) >= 1
+      non-matches, so mu_1 reaches 2^(m-2).
+    """
+    words = [DnaSequence(w) for w in codewords]
+    if not words:
+        raise ValueError("empty code")
+    length = len(words[0])
+    if any(len(w) != length for w in words):
+        raise ValueError("codewords must have equal length")
+    step, representatives = _rotation_orbits(words, length)
+    images = [packed_image(t) for t in representatives]
+    gc_values = tuple(sorted({e.bit_count() for e, _ in images}))
+    m = _simplex_dimension(len(words), length, step, images)
+    if m is None:
+        min_distance, max_mu = _pair_loops(words, length, step, representatives, images)
+    else:
+        min_distance, max_mu = 2 ** (m - 1), 2 ** (m - 2)
     return CodeProperties(
         size=len(words),
         length=length,
         min_hamming_distance=min_distance,
-        gc_content=common_gc,
+        gc_content=gc_values[0] if len(gc_values) == 1 else None,
         gc_values=gc_values,
         max_shift_match=max_mu,
         rotation_step=step,
@@ -276,25 +351,10 @@ def load_dna_code(sequences, m: int | None = None, generator: str | None = None)
 
 
 def holds_simplex_code(code: DnaCode, simplex: SimplexCode) -> bool:
-    """Whether code's words are exactly simplex's DNA code, as a multiset.
-
-    That code holds n^2 distinct words of length n, in n orbits of n under
-    rotation by 1, and a word is in it when its even and odd images are
-    both shifts of the generator. A multiset closed under rotation by 1 is
-    its representatives' orbits, each word of an orbit repeated alike; a
-    representative whose images are shifts has n distinct rotations. So n^2
-    such words with rotation step 1 are that code exactly when there are n
-    representatives and each one's images are shifts.
-    """
-    props, n = code.properties, simplex.n
-    shifts = {int(c, 2) for c in simplex.codewords}
-    return (
-        props.size == n * n
-        and props.length == n
-        and props.rotation_step == 1
-        and len(props.representatives) == n
-        and all(e in shifts and o in shifts for e, o in map(packed_image, props.representatives))
-    )
+    """Whether code's words are exactly simplex's DNA code, as a multiset (see _holds)."""
+    props = code.properties
+    images = [packed_image(t) for t in props.representatives]
+    return _holds(simplex, props.size, props.length, props.rotation_step, images)
 
 
 class VerificationReport(

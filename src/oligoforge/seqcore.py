@@ -196,27 +196,27 @@ def wc_distance_via_binary(p: DnaSequence | str, r: DnaSequence | str) -> int:
     return n - (~(ep ^ er) & (op ^ or_) & ((1 << n) - 1)).bit_count()
 
 
-def non_ascii_byte(line: str) -> str | None:
-    """Describe the first non-ASCII byte of a line read with errors="surrogateescape"."""
-    if line.isascii():
-        return None
-    pos, ch = next((p, c) for p, c in enumerate(line, start=1) if not c.isascii())
-    return f"non-ASCII byte 0x{ord(ch) - 0xDC00:02x} at position {pos}"
+# the whitespace a data line is stripped of; str.strip() would drop \x0b,
+# \x0c and \x1c-\x1f as well, which are refused with the line instead
+_LINE_SPACE = " \t\r\n"
 
 
 def data_lines(path: str) -> Iterator[tuple[int, str]]:
-    """(1-based line number, stripped line) of each line of a text file that holds data.
+    """(1-based line number, line) of each line of a text file that holds data.
 
-    Blank lines and lines starting with '#' are skipped. A non-ASCII byte
-    raises SequenceParseError naming the path and line.
+    Each line is stripped of spaces, tabs, CR and LF alone, and blank lines
+    and lines starting with '#' are skipped. A non-ASCII byte raises
+    SequenceParseError naming the path and line.
     """
     # undecodable bytes become lone surrogates, reported per line below
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            problem = non_ascii_byte(raw)
-            if problem is not None:
-                raise SequenceParseError(problem, path=path, line=lineno)
-            line = raw.strip()
+            if not raw.isascii():
+                pos, ch = next((p, c) for p, c in enumerate(raw, start=1) if not c.isascii())
+                raise SequenceParseError(
+                    f"non-ASCII byte 0x{ord(ch) - 0xDC00:02x} at position {pos}", path=path, line=lineno
+                )
+            line = raw.strip(_LINE_SPACE)
             if line and not line.startswith("#"):
                 yield lineno, line
 

@@ -1112,6 +1112,25 @@ class TestVerify:
         assert rc == 2
         assert f"{meta_path}: not an ASCII file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth,rc", [(900, 3), (1000, 2)])
+    def test_deeply_nested_sidecar(self, tmp_path, capsys, depth, rc):
+        # json.load recurses once per level: past the recursion limit the
+        # sidecar is a data error naming it; below, a value that differs
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "2", "--output", str(out)]) == 0
+        meta_path = tmp_path / "deep.json"
+        meta_path.write_text('{"size": ' + "[" * depth + "]" * depth + "}")
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", str(out), "--meta", str(meta_path)]) == rc
+        captured = capsys.readouterr()
+        if rc == 2:
+            assert captured.err == f"oligoforge: error: {meta_path}: malformed JSON: nested too deeply\n"
+            assert captured.out == ""
+        else:
+            assert captured.out.splitlines()[-2:] == [
+                "verdict: FAIL", "failure: size: declared " + "[" * depth + "]" * depth + ", recomputed 9"
+            ]
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
     def test_oversized_sidecar_integer_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "code.txt"
@@ -1526,3 +1545,48 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert cli.main(["fold", "--frobnicate"]) == 1
+
+
+class TestControlCharacters:
+    # the ASCII control characters str.strip() counts as whitespace, besides
+    # space, tab, CR and LF; at the start, middle and end of a line
+    CHARACTERS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+    @staticmethod
+    def insert(line, char, place):
+        k = {"start": 0, "middle": len(line) // 2, "end": len(line)}[place]
+        return line[:k] + char + line[k:]
+
+    @pytest.mark.parametrize("char", CHARACTERS)
+    @pytest.mark.parametrize("place", ["start", "middle", "end"])
+    def test_in_a_sequence_file_is_a_data_error(self, tmp_path, capsys, char, place):
+        path = tmp_path / "in.txt"
+        line = self.insert("ACGT", char, place)
+        path.write_bytes(f"GCAT\n{line}\n".encode())
+        rc = cli.main(["screen", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        position = line.index(char) + 1
+        assert captured.err == f"oligoforge: error: {path}:2: invalid base {char!r} at position {position}\n"
+
+    @pytest.mark.parametrize("char", CHARACTERS)
+    @pytest.mark.parametrize("place", ["start", "middle", "end"])
+    def test_in_a_config_file_is_a_usage_error(self, tmp_path, capsys, char, place):
+        cfg = tmp_path / "run.cfg"
+        line = self.insert("n=3", char, place)
+        cfg.write_bytes(f"s=2\n{line}\n".encode())
+        assert cli.main(["enumerate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"oligoforge: error: {cfg}:2: control character in {line!r}\n"
+
+    def test_tabs_and_spaces_stay_whitespace(self, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b" \tACGT\t \r\n\t\n")
+        assert cli.main(["screen", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "ACGT\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\ts\t=\t2 \r\n n = 3\t\n")
+        assert cli.main(["enumerate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["1\t4", "2\t12", "3\t28"]

@@ -1,7 +1,7 @@
 """The command line over generated inputs, run in-process through cli.main.
 
-Sidecars, config files, sequence files and integer flags are generated small
-(-n <= 8, -s <= 1000, -m 2-4). For every input:
+Sidecars (nested ones too), config files, sequence files and integer flags
+are generated small (-n <= 8, -s <= 1000, -m 2-4). For every input:
 
 - the exit code is 0, 1, 2 or 3, and no exception escapes main;
 - exit 2 names the file at fault on stderr;
@@ -78,6 +78,24 @@ class TestSidecars:
         assert run(argv, at_fault=[meta]) in (0, 2, 3)
 
     @FUZZ
+    @given(key=st.sampled_from(KEYS + [None]), depth=st.integers(0, 10**5),
+           opener=st.sampled_from(["[", '{"k": ']))
+    @example(key="size", depth=10**5, opener="[")
+    def test_nested_documents(self, workdir, key, depth, opener):
+        # arrays or objects nested around one value or the whole document, up
+        # to far past the recursion limit json.load works under (hypothesis
+        # raises that limit while a test runs)
+        nested = opener * depth + "0" + ("]" if opener == "[" else "}") * depth
+        meta = workdir / "nested.json"
+        if key is None:
+            meta.write_text(nested)
+        else:
+            declared = json.loads((workdir / "code.txt.meta.json").read_text())
+            declared[key] = "NESTED"
+            meta.write_text(json.dumps(declared).replace('"NESTED"', nested))
+        assert run(["verify", "--input", workdir / "code.txt", "--meta", meta], at_fault=[meta]) in (0, 2, 3)
+
+    @FUZZ
     @given(document=JSON_VALUES)
     def test_any_document(self, workdir, document):
         meta = workdir / "document.json"
@@ -140,8 +158,9 @@ class TestSequenceFiles:
     LINES = st.one_of(
         st.text("ACGTacgt", min_size=1, max_size=12),  # words
         st.text("ACGTNX-5 ", min_size=1, max_size=8),  # bad bases and inner spaces
-        # "\udcff" is written as the lone byte 0xff
-        st.sampled_from(["", "   ", "# a comment", "#ACGT", "\tACGT ", "ACéGT", "\udcff", "\x00"]),
+        # "\udcff" is written as the lone byte 0xff; str.strip() would drop \x0b and \x1c
+        st.sampled_from(["", "   ", "# a comment", "#ACGT", "\tACGT ", "ACéGT", "\udcff", "\x00",
+                         "\x1cACGT\x0b", "\x0c"]),
     )
 
     @FUZZ

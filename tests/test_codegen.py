@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oligoforge import cli, codegen
 from oligoforge.codegen import (
     PRIMITIVE_POLYNOMIALS,
     SimplexCodeError,
@@ -26,6 +27,7 @@ from oligoforge.seqcore import (
     binary_image,
     gc_content,
     mu,
+    packed_image,
     read_sequence_file,
     sequence_from_even_odd,
 )
@@ -420,6 +422,84 @@ class TestRotationGroup:
         assert report.folded == tuple(w for w, e in energies.items() if e <= -2)
         metadata = code_metadata(code, report)
         assert list(metadata["energies"].items()) == list(energies.items())
+
+
+def routes(words):
+    """(m or None from the route choice, properties, the pair loops' distance and max mu)."""
+    props = code_properties(words)
+    images = [packed_image(t) for t in props.representatives]
+    m = codegen._simplex_dimension(props.size, props.length, props.rotation_step, images)
+    loops = codegen._pair_loops(
+        [DnaSequence(w) for w in words], props.length, props.rotation_step, props.representatives, images
+    )
+    return m, props, loops
+
+
+def route_generators():
+    """Every accepted generator at m = 2..4; at m = 5..7 the default, its
+    reversal and two of its rotations."""
+    for m in (2, 3, 4):
+        accepted = (g for g in half_weight_words(m) if accepts(m, g))
+        yield from (pytest.param(m, g, id=f"m{m}-{k}") for k, g in enumerate(accepted))
+    for m in (5, 6, 7):
+        g = default_generator(m)
+        named = {"default": g, "reversed": g[::-1], "rotated-1": rotate(g, 1), "rotated-half": rotate(g, len(g) // 2)}
+        yield from (pytest.param(m, h, id=f"m{m}-{name}") for name, h in named.items())
+
+
+class TestClosedForm:
+    """The simplex code's distance and max mu from its construction, against
+    the pair loops that every other code takes."""
+
+    @pytest.mark.parametrize("m,generator", list(route_generators()))
+    def test_agrees_with_the_pair_loops(self, m, generator):
+        m_found, props, loops = routes(build_dna_code(simplex_code(m, generator)).codewords)
+        assert m_found == m
+        assert (props.min_hamming_distance, props.max_shift_match) == loops == (2 ** (m - 1), 2 ** (m - 2))
+        assert props.gc_content == 2 ** (m - 1) and props.rotation_step == 1
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), m=st.sampled_from([2, 3, 4]),
+           change=st.sampled_from(["replace", "duplicate", "remove", "shuffle"]))
+    def test_perturbed_codes_take_the_pair_loops(self, data, m, change):
+        code = [w.text for w in build_dna_code(simplex_code(m)).codewords]
+        words, n = list(code), len(code[0])
+        k = data.draw(st.integers(0, len(words) - 1))
+        if change == "replace":
+            words[k] = data.draw(st.text("ACGT", min_size=n, max_size=n))
+        elif change == "duplicate":
+            words.insert(data.draw(st.integers(0, len(words))), words[k])
+        elif change == "remove":
+            del words[k]
+        words = data.draw(st.permutations(words))
+        m_found, props, loops = routes(words)
+        # a shuffle, or a word replaced by itself, keeps the code
+        assert m_found == (m if sorted(words) == sorted(code) else None)
+        assert (props.min_hamming_distance, props.max_shift_match) == loops
+        assert props.min_hamming_distance == oracles.naive_min_distance(words)
+        assert props.max_shift_match == max(
+            oracles.direct_mu(w, i) for w in words for i in range(1, n)
+        )
+        assert props.gc_values == tuple(sorted({gc_content(w) for w in words}))
+        assert props.rotation_step == brute_rotation_step(words)
+
+    def test_commands_reach_the_loops_only_for_a_changed_code(self, tmp_path, monkeypatch, capsys):
+        class LoopsReached(Exception):
+            pass
+
+        def refuse(*args):
+            raise LoopsReached
+
+        monkeypatch.setattr(codegen, "_pair_loops", refuse)
+        out = tmp_path / "code.txt"
+        assert cli.main(["construct", "-m", "5", "--output", str(out)]) == 0
+        assert cli.main(["verify", "--input", str(out)]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        lines[0] = lines[0][::-1]  # one word edited
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoopsReached):
+            cli.main(["verify", "--input", str(out)])
 
 
 class TestShiftMatchValues:
