@@ -470,28 +470,25 @@ def cmd_verify(args) -> int:
         declared = {}
     m = args.m if args.m is not None else declared.get("m")
     generator = declared.get("generator")
-    length = len(sequences[0])
-    fits = m is None or codegen.is_simplex_length(length, m)
-    try:  # an m that does not fit gives no mu bound or GC target
-        code = codegen.load_dna_code(sequences, m=m if fits else None, generator=generator)
+    try:
+        code = codegen.load_dna_code(sequences, m=m, generator=generator)
     except ValueError as exc:  # -m and the sidecar's m are checked already, so the words are at fault
         raise DataError(f"{args.input}: {exc}") from None
     report = codegen.verify_code(code, _energy_params(args), args.threshold)
-    failures = [] if fits else [f"m: {m} needs words of length 2^m - 1, got length {length}"]
-    failures += report.failures
+    failures = list(report.failures)
     recomputed = codegen.code_metadata(code, report)
-    recomputed["m"] = m  # the m in use, also one that does not fit
     for key, value in declared.items():
         if key not in recomputed:
             raise DataError(f"{meta_path}: unknown sidecar key {key!r}")
         failures += _differences(key, value, recomputed[key])
-    if generator is not None and fits:
-        try:  # without an m, the words' length gives the only one that can fit
-            simplex = codegen.simplex_code(length.bit_length() if m is None else m, generator)
-            if not codegen.holds_simplex_code(code, simplex):
-                failures.append(f"generator: {args.input} does not hold the code of {generator}")
+    simplex = code.properties.simplex  # its codewords are the generators of the words' code
+    if generator is not None and code.fits and (simplex is None or generator not in simplex.codewords):
+        try:  # the words' length gives the only m that can fit
+            codegen.simplex_code(code.properties.length.bit_length(), generator)
         except codegen.SimplexCodeError as exc:  # a rejected generator is a failed check
             failures.append(f"generator: {exc}")
+        else:
+            failures.append(f"generator: {args.input} does not hold the code of {generator}")
     with _open_out(args.output) as out:  # the verdict covers every failure line
         out.write(report._replace(failures=failures).render_text() + "\n")
     return EXIT_VERIFY if failures else EXIT_OK

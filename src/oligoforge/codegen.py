@@ -122,7 +122,7 @@ def simplex_code(m: int, generator: str | None = None) -> SimplexCode:
 
 class CodeProperties(namedtuple("CodeProperties", [
     "size", "length", "min_hamming_distance", "gc_content", "gc_values",
-    "max_shift_match", "rotation_step", "representatives",
+    "max_shift_match", "rotation_step", "representatives", "simplex",
 ])):
     """Recomputable metadata of a DNA codeword set.
 
@@ -135,6 +135,11 @@ class CodeProperties(namedtuple("CodeProperties", [
     when only the identity does. representatives holds one distinct word
     per orbit of that group, in codeword order; rotating each by the
     multiples of d gives every distinct word, each once per orbit.
+
+    simplex is the SimplexCode whose DNA code the words are exactly, as a
+    multiset, and None for any other word set. Its codewords are the
+    generators of that DNA code: a generator has the same shifts as any of
+    its rotations, and so the same code.
     """
 
     __slots__ = ()
@@ -215,43 +220,30 @@ def _pair_loops(words, length, step, representatives, images) -> tuple[int, int]
     return min_distance, max_mu
 
 
-def _holds(simplex: SimplexCode, size: int, length: int, step: int, images) -> bool:
-    """Whether a multiset of size words of this length, rotation step and
-    representatives' packed images is exactly simplex's DNA code.
+def _simplex_of(size: int, length: int, step: int, images) -> SimplexCode | None:
+    """The simplex code whose DNA code a multiset of size words of this
+    length, rotation step and representatives' packed images is exactly,
+    read from the words alone; else None.
 
-    That code holds n^2 distinct words of length n, in n orbits of n under
-    rotation by 1, and a word is in it when its even and odd images are
-    both shifts of the generator. A multiset closed under rotation by 1 is
-    its representatives' orbits, each word of an orbit repeated alike; a
-    representative whose images are shifts has n distinct rotations. So n^2
-    such words with rotation step 1 are that code exactly when there are n
-    representatives and each one's images are shifts.
+    That code holds n^2 distinct words of length n = 2^m - 1, in n orbits
+    of n under rotation by 1, and a word is in it when its even and odd
+    images are both shifts of the generator. A multiset closed under
+    rotation by 1 is its representatives' orbits, each word of an orbit
+    repeated alike; a representative whose images are shifts has n
+    distinct rotations. So n^2 such words with rotation step 1 are that
+    code exactly when there are n representatives and each one's images
+    are shifts. The length fixes m, and the shifts of the generator
+    generate the same code, so the first representative's even image
+    serves as the generator.
     """
-    n = simplex.n
-    shifts = {int(c, 2) for c in simplex.codewords}
-    return (
-        size == n * n
-        and length == n
-        and step == 1
-        and len(images) == n
-        and all(e in shifts and o in shifts for e, o in images)
-    )
-
-
-def _simplex_dimension(size: int, length: int, step: int, images) -> int | None:
-    """m when the words are exactly the DNA code of a simplex code of
-    dimension m (see _holds), read from the words alone; else None.
-
-    The length fixes m. Every word of such a code has shifts of the
-    generator for images, and those shifts generate the same code, so the
-    first representative's even image serves as the generator.
-    """
-    m = length.bit_length()
+    if size != length * length or step != 1 or len(images) != length:
+        return None
     try:
-        simplex = simplex_code(m, format(images[0][0], f"0{length}b"))
+        simplex = simplex_code(length.bit_length(), format(images[0][0], f"0{length}b"))
     except SimplexCodeError:  # no simplex generator, or a length that is not 2^m - 1
         return None
-    return m if _holds(simplex, size, length, step, images) else None
+    shifts = {int(c, 2) for c in simplex.codewords}
+    return simplex if all(e in shifts and o in shifts for e, o in images) else None
 
 
 def code_properties(codewords) -> CodeProperties:
@@ -263,7 +255,7 @@ def code_properties(codewords) -> CodeProperties:
 
     The minimum distance and the largest shift-match count come from the
     construction when the words are exactly the DNA code of a simplex code
-    of dimension m (_simplex_dimension; n = 2^m - 1), and from the pair
+    of dimension m (_simplex_of; n = 2^m - 1), and from the pair
     loops (_pair_loops) otherwise. For that code, word (c_a, c_b) has the
     shifts c_a and c_b of the generator for its even and odd images:
 
@@ -288,11 +280,11 @@ def code_properties(codewords) -> CodeProperties:
     step, representatives = _rotation_orbits(words, length)
     images = [packed_image(t) for t in representatives]
     gc_values = tuple(sorted({e.bit_count() for e, _ in images}))
-    m = _simplex_dimension(len(words), length, step, images)
-    if m is None:
+    simplex = _simplex_of(len(words), length, step, images)
+    if simplex is None:
         min_distance, max_mu = _pair_loops(words, length, step, representatives, images)
     else:
-        min_distance, max_mu = 2 ** (m - 1), 2 ** (m - 2)
+        min_distance, max_mu = 2 ** (simplex.m - 1), 2 ** (simplex.m - 2)
     return CodeProperties(
         size=len(words),
         length=length,
@@ -302,6 +294,7 @@ def code_properties(codewords) -> CodeProperties:
         max_shift_match=max_mu,
         rotation_step=step,
         representatives=representatives,
+        simplex=simplex,
     )
 
 
@@ -309,15 +302,22 @@ class DnaCode(namedtuple("DnaCode", "codewords m generator properties")):
     """A set of DNA codewords and their metadata.
 
     properties is computed once, from the codewords, when the code is made.
-    m and generator are present when the code came out of the simplex
-    construction; codes loaded from plain files carry None there.
+    m and generator are the code's simplex claims, None where it makes
+    none: build_dna_code takes them from the construction, load_dna_code
+    as given (verify passes its -m and the sidecar's). An m fits when the
+    words have length 2^m - 1; only an m that fits gives the mu bound
+    2^(m-2) and the GC target 2^(m-1).
     """
 
     __slots__ = ()
 
     @property
+    def fits(self) -> bool:
+        return self.m is None or is_simplex_length(self.properties.length, self.m)
+
+    @property
     def mu_bound(self) -> int | None:
-        return 2 ** (self.m - 2) if self.m is not None else None
+        return 2 ** (self.m - 2) if self.m is not None and self.fits else None
 
 
 def build_dna_code(code: SimplexCode) -> DnaCode:
@@ -348,13 +348,6 @@ def load_dna_code(sequences, m: int | None = None, generator: str | None = None)
         raise ValueError(f"simplex dimension must be >= 2, got {m}")
     words = tuple(DnaSequence(w) for w in sequences)
     return DnaCode(words, m, generator, code_properties(words))
-
-
-def holds_simplex_code(code: DnaCode, simplex: SimplexCode) -> bool:
-    """Whether code's words are exactly simplex's DNA code, as a multiset (see _holds)."""
-    props = code.properties
-    images = [packed_image(t) for t in props.representatives]
-    return _holds(simplex, props.size, props.length, props.rotation_step, images)
 
 
 class VerificationReport(
@@ -407,9 +400,10 @@ def verify_code(
     """Check a DNA code's properties against its bounds and fold each word.
 
     The properties are the ones the code computed from its codewords when
-    it was made. Pass requires: the shift-match bound holds when known, and
-    GC-content is constant (and equal to 2^(m-1) when m is known); each
-    failed requirement is one line of the report's failures. Folding
+    it was made. Pass requires: m fits the word length when given, the
+    shift-match bound holds when known, and GC-content is constant (and
+    equal to 2^(m-1) when m fits); each failed requirement is one line of
+    the report's failures, the m line first. Folding
     energies are reported for information; the threshold verdict counts how
     many words fold. Each orbit of the code's rotation group is folded by
     one windowed fill of its representative (folding.rotation_energies);
@@ -417,10 +411,10 @@ def verify_code(
     """
     params = params or folding.DEFAULT_ENERGY_PARAMS
     props = code.properties
-    failures = []
+    failures = [] if code.fits else [f"m: {code.m} needs words of length 2^m - 1, got length {props.length}"]
     if code.mu_bound is not None and props.max_shift_match > code.mu_bound:
         failures.append(f"max mu {props.max_shift_match} exceeds bound {code.mu_bound}")
-    if not props.gc_constant or (code.m is not None and props.gc_content != 2 ** (code.m - 1)):
+    if not props.gc_constant or (code.mu_bound is not None and props.gc_content != 2 ** (code.m - 1)):
         failures.append(f"GC content check failed: values {list(props.gc_values)}")
     energies = dict.fromkeys(code.codewords)
     step = props.rotation_step

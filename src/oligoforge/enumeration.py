@@ -215,13 +215,15 @@ def g_values(s: int, max_n: int):
     In the substituted variable x that is 4(x + ... + x^s) / (1 - 2x - x^s), so
     g(s, n) is the coefficient of x^(n-1) in 4(1 + ... + x^(s-1)) / (1 - 2x - x^s),
     found by exact series division; the values agree with g_recursive.
+    Coefficient k reads only terms of degree at most k, so both sides are
+    cut at degree max_n - 1: the cost does not grow with s past max_n.
     """
     if s < 1:
         raise ValueError("shift depth must be >= 1")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    den = [[1]] + [[-2 * (d == 1) - (d == s)] for d in range(1, s + 1)]
-    return (c for c, in _series_div([[4]] * s, den, max_n - 1))
+    den = [[1]] + [[-2 * (d == 1) - (d == s)] for d in range(1, min(s, max_n - 1) + 1)]
+    return (c for c, in _series_div([[4]] * min(s, max_n), den, max_n - 1))
 
 
 def g_series(s: int, max_n: int) -> CountTable:

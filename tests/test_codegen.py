@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from oligoforge.codegen import (
     code_metadata,
     code_properties,
     default_generator,
-    holds_simplex_code,
     is_simplex_length,
     load_dna_code,
     simplex_code,
@@ -140,13 +140,17 @@ def accepts(m, generator):
     return True
 
 
+def accepted_generators(m):
+    return [g for g in half_weight_words(m) if accepts(m, g)]
+
+
 class TestSimplexChecks:
     """simplex_code checks closure on the generator's n shifts, where the
     definition (oracles.is_simplex_generator) XORs all n^2 pairs."""
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_agrees_with_the_quadratic_check_on_every_half_weight_word(self, m):
-        accepted = [g for g in half_weight_words(m) if accepts(m, g)]
+        accepted = accepted_generators(m)
         assert accepted == [g for g in half_weight_words(m) if oracles.is_simplex_generator(m, g)]
         assert len(accepted) == {2: 3, 3: 14, 4: 30}[m]
 
@@ -428,19 +432,34 @@ def routes(words):
     """(m or None from the route choice, properties, the pair loops' distance and max mu)."""
     props = code_properties(words)
     images = [packed_image(t) for t in props.representatives]
-    m = codegen._simplex_dimension(props.size, props.length, props.rotation_step, images)
     loops = codegen._pair_loops(
         [DnaSequence(w) for w in words], props.length, props.rotation_step, props.representatives, images
     )
-    return m, props, loops
+    return None if props.simplex is None else props.simplex.m, props, loops
+
+
+def perturb(data, words, change):
+    """The words with one drawn word replaced, duplicated or removed (or none
+    for a shuffle), then shuffled."""
+    words, n = list(words), len(words[0])
+    k = data.draw(st.integers(0, len(words) - 1))
+    if change == "replace":
+        words[k] = data.draw(st.text("ACGT", min_size=n, max_size=n))
+    elif change == "duplicate":
+        words.insert(data.draw(st.integers(0, len(words))), words[k])
+    elif change == "remove":
+        del words[k]
+    return data.draw(st.permutations(words))
+
+
+CHANGES = st.sampled_from(["replace", "duplicate", "remove", "shuffle"])
 
 
 def route_generators():
     """Every accepted generator at m = 2..4; at m = 5..7 the default, its
     reversal and two of its rotations."""
     for m in (2, 3, 4):
-        accepted = (g for g in half_weight_words(m) if accepts(m, g))
-        yield from (pytest.param(m, g, id=f"m{m}-{k}") for k, g in enumerate(accepted))
+        yield from (pytest.param(m, g, id=f"m{m}-{k}") for k, g in enumerate(accepted_generators(m)))
     for m in (5, 6, 7):
         g = default_generator(m)
         named = {"default": g, "reversed": g[::-1], "rotated-1": rotate(g, 1), "rotated-half": rotate(g, len(g) // 2)}
@@ -459,19 +478,10 @@ class TestClosedForm:
         assert props.gc_content == 2 ** (m - 1) and props.rotation_step == 1
 
     @settings(deadline=None, max_examples=60)
-    @given(data=st.data(), m=st.sampled_from([2, 3, 4]),
-           change=st.sampled_from(["replace", "duplicate", "remove", "shuffle"]))
+    @given(data=st.data(), m=st.sampled_from([2, 3, 4]), change=CHANGES)
     def test_perturbed_codes_take_the_pair_loops(self, data, m, change):
         code = [w.text for w in build_dna_code(simplex_code(m)).codewords]
-        words, n = list(code), len(code[0])
-        k = data.draw(st.integers(0, len(words) - 1))
-        if change == "replace":
-            words[k] = data.draw(st.text("ACGT", min_size=n, max_size=n))
-        elif change == "duplicate":
-            words.insert(data.draw(st.integers(0, len(words))), words[k])
-        elif change == "remove":
-            del words[k]
-        words = data.draw(st.permutations(words))
+        words, n = perturb(data, code, change), len(code[0])
         m_found, props, loops = routes(words)
         # a shuffle, or a word replaced by itself, keeps the code
         assert m_found == (m if sorted(words) == sorted(code) else None)
@@ -553,6 +563,14 @@ class TestVerifyCode:
         assert not report.mu_bound_met
         assert not report.passed
 
+    def test_dimension_that_does_not_fit(self):
+        # the m=3 code claimed at m=5: no bound 8 and no GC target 16, one m line
+        code = load_dna_code(build_dna_code(simplex_code(3)).codewords, m=5)
+        report = verify_code(code)
+        assert report.mu_bound is None
+        assert report.failures == ("m: 5 needs words of length 2^m - 1, got length 7",)
+        assert not code.fits
+
     @pytest.mark.parametrize("m", [1, 0])
     def test_dimension_below_two_rejected(self, m):
         with pytest.raises(ValueError, match="dimension must be >= 2"):
@@ -566,11 +584,29 @@ class TestVerifyCode:
         assert report.mu_bound_met
 
 
+def holds(words, generator):
+    """Whether code_properties finds the words to be generator's DNA code."""
+    simplex = code_properties(words).simplex
+    return simplex is not None and generator in simplex.codewords
+
+
+def holds_by_definition(words, generator):
+    """The multiset definition: every word of generator's DNA code, each as
+    often as there, and no other word."""
+    m = len(generator).bit_length()
+    if not accepts(m, generator):
+        return False
+    return Counter(words) == Counter(build_dna_code(simplex_code(m, generator)).codewords)
+
+
 class TestHoldsSimplexCode:
+    """Whether words hold generator g's DNA code, read from
+    CodeProperties.simplex: exactly when props.simplex holds g."""
+
     def words(self, generator):
         return [w.text for w in build_dna_code(simplex_code(3, generator)).codewords]
 
-    @pytest.mark.parametrize("change,holds", [
+    @pytest.mark.parametrize("change,expected", [
         (lambda words: words, True),
         (lambda words: words[::-1], True),  # order does not matter
         (lambda words: words[:-1] + words[:1], False),  # one word twice, one missing
@@ -578,23 +614,46 @@ class TestHoldsSimplexCode:
         (lambda words: words * 2, False),
         (lambda words: words[:-1], False),
     ])
-    def test_multiset_of_the_generator_code(self, change, holds):
-        simplex = simplex_code(3, EXAMPLE_GENERATOR)
-        code = load_dna_code(change(self.words(EXAMPLE_GENERATOR)), m=3)
-        assert holds_simplex_code(code, simplex) is holds
+    def test_multiset_of_the_generator_code(self, change, expected):
+        assert holds(change(self.words(EXAMPLE_GENERATOR)), EXAMPLE_GENERATOR) is expected
 
     def test_other_generator_and_rotated_generator(self):
-        code = load_dna_code(self.words(EXAMPLE_GENERATOR), m=3)
-        assert not holds_simplex_code(code, simplex_code(3, "1001011"))
+        words = self.words(EXAMPLE_GENERATOR)
+        assert not holds(words, "1001011")
         # a rotated generator has the same shifts, hence the same code
-        assert holds_simplex_code(code, simplex_code(3, rotate(EXAMPLE_GENERATOR, 2)))
-        assert not holds_simplex_code(load_dna_code(self.words("1001011")), simplex_code(3))
+        assert holds(words, rotate(EXAMPLE_GENERATOR, 2))
+        assert not holds(self.words("1001011"), simplex_code(3).generator)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_generator_against_the_definition(self, m):
+        accepted = accepted_generators(m)
+        # the accepted generators hold every rotation and reversal of each
+        assert {h for g in accepted for h in (rotate(g, 1), g[::-1])} == set(accepted)
+        for g in accepted:
+            words = [w.text for w in build_dna_code(simplex_code(m, g)).codewords]
+            for h in accepted + ["1" * len(g), g[:-1]]:
+                assert holds(words, h) == holds_by_definition(words, h), (g, h)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), m=st.sampled_from([2, 3, 4]), change=CHANGES)
+    def test_perturbed_codes_against_the_definition(self, data, m, change):
+        accepted = accepted_generators(m)
+        g, h = data.draw(st.sampled_from(accepted)), data.draw(st.sampled_from(accepted))
+        words = perturb(data, [w.text for w in build_dna_code(simplex_code(m, g)).codewords], change)
+        for candidate in (g, h, rotate(g, 1), g[::-1]):
+            assert holds(words, candidate) == holds_by_definition(words, candidate), candidate
 
 
 class TestDnaCodeType:
     def test_mu_bound_property(self):
         assert build_dna_code(simplex_code(3)).mu_bound == 2
         assert load_dna_code(["ACGT"]).mu_bound is None
+
+    def test_an_m_fits_the_words_of_length_two_to_the_m_less_one(self):
+        assert load_dna_code(["ACGT"]).fits
+        for m, fits, bound in [(2, True, 1), (3, False, None), (10**12, False, None)]:
+            code = load_dna_code(["GCG"], m=m)
+            assert (code.fits, code.mu_bound) == (fits, bound)
 
     def test_codewords_are_sequences(self):
         code = build_dna_code(simplex_code(2))

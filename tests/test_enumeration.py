@@ -211,6 +211,21 @@ class TestSeriesCount:
             for n in range(1, 201):
                 assert table.value(n) == g_recursive(s, n), (s, n)
 
+    @pytest.mark.parametrize("s", [15, 100, 10**4])
+    def test_depth_far_past_the_rows(self, s):
+        # every n <= 14 is below s: each value is the boundary count
+        assert list(g_values(s, 14)) == [g_recursive(s, n) for n in range(1, 15)]
+
+    def test_cost_does_not_grow_with_the_depth(self):
+        # both sides of the division are cut at degree n - 1, not built to s
+        tracemalloc.start()
+        try:
+            assert list(g_values(10**8, 3)) == [4, 12, 28]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_validation(self):
         with pytest.raises(ValueError):
             g_series(0, 5)
