@@ -17,7 +17,6 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache, lru_cache
 from itertools import chain, islice
 
 from . import codegen, enumeration, folding, seqcore
@@ -229,21 +228,6 @@ def _json_rows(rows: list[str]) -> str:
     return "[\n      [\n        " + "\n      ],\n      [\n        ".join(rows) + "\n      ]\n    ]"
 
 
-def _json_table(n: int) -> str:
-    """A table's JSON value, a %s per score of its flat scores[1:] (folding.EnergyTable)."""
-    cells = (["%s"] * (n + 1 - max(1, i - 1)) for i in range(1, n + 1))
-    return _json_rows([('"*"' + _CELL) * (i - 2) + _CELL.join(row) for i, row in enumerate(cells, 1)])
-
-
-# A template holds about n^2 cells. The ones up to length 64 take ~1 MiB in
-# all and are all kept. Of the longer ones only the last is kept, so a run of
-# words of one length builds its template once; a new length's costs about a
-# tenth of the time the word's fill and formatting take.
-_KEPT_TABLE_LENGTH = 64
-_kept_json_table = cache(_json_table)
-_last_json_table = lru_cache(maxsize=1)(_json_table)
-
-
 class _EnergyText(dict):  # score -> the text of its energy, -score, made once
     def __missing__(self, score: int) -> str:
         text = self[score] = str(-score)
@@ -263,8 +247,7 @@ def cmd_fold(args) -> int:
             if args.format == "json":
                 # One record at a time, in the bytes json.dumps(records, indent=2)
                 # gives. q is upper-case ACGT and needs no escaping.
-                template = (_kept_json_table if table.n <= _KEPT_TABLE_LENGTH else _last_json_table)(table.n)
-                cells = template % tuple(map(energy_text.__getitem__, table.scores[1:]))
+                cells = _json_rows(folding.table_rows(table, energy_text.__getitem__, '"*"', _CELL))
                 out.write(
                     f'{"," if count else ""}\n  {{\n    "sequence": "{q}",\n'
                     f'    "min_free_energy": {energy},\n'

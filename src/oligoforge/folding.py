@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from operator import add, index, neg
+from operator import add, index
 
 from .seqcore import DnaSequence, packed_image
 
@@ -69,8 +69,8 @@ class EnergyTable:
     value(i, j) is defined for 1 <= i <= n and i-1 <= j <= n (the j = i and
     j = i-1 cells are the zero boundary); anything below that is outside
     the table. It keeps the scores S = -E flat (from a grid, or as given:
-    bytes from energy_tables), row i holding columns i-1..n, so scores[1:]
-    is row(1), ..., row(n) in turn.
+    bytes from energy_tables), row i holding columns i-1..n in turn, at
+    _offsets(n)[i] + j; table_rows prints the cells j >= max(1, i-1) of each.
     """
 
     __slots__ = ("n", "scores")
@@ -86,14 +86,13 @@ class EnergyTable:
             raise IndexError(f"no entry ({i},{j}) in a table of size {self.n}")
         return -self.scores[_offsets(self.n)[i] + j]
 
-    def row(self, i: int) -> list[int]:
-        """value(i, j) for j = max(1, i-1)..n."""
-        at = _offsets(self.n)[i]
-        return list(map(neg, self.scores[at + max(1, i - 1) : at + self.n + 1]))
-
     def cells(self) -> list[list[int | str]]:
         """The n x n grid: cells()[i-1][j-1] is value(i, j), or '*' below j = i-1."""
-        return [["*"] * (i - 2) + self.row(i) for i in range(1, self.n + 1)]
+        n, offsets = self.n, _offsets(self.n)
+        return [
+            ["*"] * (i - 2) + [-s for s in self.scores[offsets[i] + max(1, i - 1) : offsets[i] + n + 1]]
+            for i in range(1, n + 1)
+        ]
 
     @property
     def min_free_energy(self) -> int:
@@ -485,29 +484,34 @@ def linear_energy(
     return packed_linear_energy(*packed_image(q), n, model, params or DEFAULT_ENERGY_PARAMS)
 
 
+def table_rows(table: EnergyTable, text, star: str, sep: str) -> list[str]:
+    """Row i of a printed table, for i = 1..n: (star + sep) * (i - 2), then
+    text(S) for each score S of columns max(1, i-1)..n, joined by sep."""
+    n = table.n
+    texts = list(map(text, table.scores))
+    rows = [sep.join(texts[1 : n + 1])]
+    for i, at in enumerate(_offsets(n)[2:], 2):
+        rows.append((star + sep) * (i - 2) + sep.join(texts[at + i - 1 : at + n + 1]))
+    return rows
+
+
 def format_table_text(q: DnaSequence | str, table: EnergyTable) -> str:
     """Pretty-print a table with base labels and '*' below the boundary.
 
     A filled table's cells lie between E[1][n] and 0, so every column is as
-    wide as str(E[1][n]); labels and '*' are one character. Each value that
+    wide as str(E[1][n]); labels and '*' are one character. Each score that
     occurs is padded once.
     """
     s = DnaSequence(q)
     width = len(str(table.min_free_energy))
-    rows = list(map(table.row, range(1, table.n + 1)))
-    cell = {v: str(v).rjust(width) for v in set().union(*rows)}
-    gap = " " * width
-    star = gap[1:] + "* "
-    lines = [gap + gap.join(s)]
-    for i, (base, row) in enumerate(zip(s, rows), 1):
-        lines.append(base + star * (i - 2) + " ".join(map(cell.__getitem__, row)))
-    return "\n".join(lines)
+    cell = {v: str(-v).rjust(width) for v in set(table.scores)}
+    rows = table_rows(table, cell.__getitem__, "*".rjust(width), " ")
+    return "\n".join([" " * width + (" " * width).join(s), *map(add, s, rows)])
 
 
 def format_table_csv(q: DnaSequence | str, table: EnergyTable) -> str:
     """Same layout as the text table, comma-separated."""
     s = DnaSequence(q)
-    lines = ["," + ",".join(s)]
-    for base, row in zip(s, table.cells()):
-        lines.append(base + "," + ",".join(map(str, row)))
-    return "\n".join(lines)
+    cell = {v: str(-v) for v in set(table.scores)}
+    rows = table_rows(table, cell.__getitem__, "*", ",")
+    return "\n".join(["," + ",".join(s), *map(",".join, zip(s, rows))])

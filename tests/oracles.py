@@ -87,6 +87,15 @@ def format_table_text(word: str, table) -> str:
     return "\n".join(lines)
 
 
+def format_table_csv(word: str, table) -> str:
+    """A table's csv rendering, cell by cell: the bases as a header, then
+    each base and its row's cells, every cell as text, comma-separated."""
+    lines = ["," + ",".join(word)]
+    for base, row in zip(word, table.cells()):
+        lines.append(",".join([base] + [str(c) for c in row]))
+    return "\n".join(lines)
+
+
 def all_words(n: int):
     for letters in itertools.product("ACGT", repeat=n):
         yield "".join(letters)

@@ -157,7 +157,8 @@ class TestFold:
 
     # (words, pair energies, whether they share a byte-lane fill): lengths 1-3
     # and 30 with n words each; n words whose scores may need 8 bits (n/2
-    # G-C pairs of 20, from n = 14) and a word alone fall back to the sparse fill
+    # G-C pairs of 20, from n = 14), a word alone and the fewer than n words
+    # of lengths 70 and 80 fall back to the sparse fill
     TEMPLATE_POOLS = [
         pytest.param([], (-1, -2), False, id="empty"),
         pytest.param(["G"], (-1, -2), True, id="n1"),
@@ -167,6 +168,7 @@ class TestFold:
         pytest.param(seeded_words("GC", 30, 30), (-1, -20), False, id="n30-8bit"),
         pytest.param(seeded_words("GC", 14, 14), (-1, -20), False, id="n14-8bit"),
         pytest.param(["GCATGC"], (-1, -2), False, id="alone"),
+        pytest.param(seeded_words("ACGT", 70, 3) + seeded_words("ACGT", 80, 2), (-1, -2), False, id="long"),
     ]
 
     @pytest.mark.parametrize("words,energies,lanes", TEMPLATE_POOLS)
@@ -247,9 +249,8 @@ class TestFold:
         assert "non-ASCII byte 0xc3 at position 3" in err
 
     def test_long_json_templates_are_not_kept(self, tmp_path):
-        # a length's template holds about n^2 cells; past the kept lengths
-        # only the last is kept, so one fold of lengths 130-160 keeps no
-        # ~8 MB of them
+        # a table's printed rows hold about n^2/2 cells; one fold of lengths
+        # 130-160 keeps none of them once their record is written
         path, out = tmp_path / "in.txt", tmp_path / "out.json"
         write_lines(path, [seeded_words("ACGT", n, 1)[0] for n in range(130, 161)])
         tracemalloc.start()
@@ -260,16 +261,6 @@ class TestFold:
             tracemalloc.stop()
         assert retained < 2**20
         assert json.loads(out.read_text())[-1]["sequence"] == seeded_words("ACGT", 160, 1)[0]
-
-    def test_a_run_of_one_long_length_builds_its_template_once(self, tmp_path):
-        path, out = tmp_path / "in.txt", tmp_path / "out.json"
-        words = seeded_words("ACGT", 70, 3) + seeded_words("ACGT", 80, 2)
-        write_lines(path, words)
-        cli._last_json_table.cache_clear()
-        assert cli.main(["fold", "--input", str(path), "--format", "json", "--output", str(out)]) == 0
-        info = cli._last_json_table.cache_info()
-        assert (info.misses, info.hits) == (2, 3)
-        assert out.read_text() == json.dumps(fold_records(words), indent=2) + "\n"
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "in.txt"

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oligoforge import folding
@@ -577,6 +577,22 @@ class TestTableRendering:
     def test_text_with_very_negative_pair_energies(self, word, energies):
         table = nussinov_table(word, EnergyParams(*energies))
         assert format_table_text(word, table) == oracles.format_table_text(word, table)
+
+    # a length's n or more words share a byte-lane fill and fewer take the
+    # sparse one; rows 1 and 2 have no star, so n = 1 and 2 have none at all
+    @settings(deadline=None, max_examples=60)
+    @given(
+        words=st.integers(min_value=1, max_value=40).flatmap(
+            lambda n: st.lists(st.text(alphabet="ACGT", min_size=n, max_size=n), min_size=1, max_size=2 * n)
+        ),
+        energies=st.tuples(st.integers(min_value=-3, max_value=0), st.integers(min_value=-3, max_value=0)),
+    )
+    @example(words=["G"], energies=(-1, -2))
+    @example(words=["GC"], energies=(-1, -2))
+    @example(words=["GC", "AT"], energies=(-1, -2))
+    def test_csv_bytes_match_cell_by_cell_renderer(self, words, energies):
+        for word, table in zip(words, folding.energy_tables(words, EnergyParams(*energies))):
+            assert format_table_csv(word, table) == oracles.format_table_csv(word, table)
 
     def test_csv_matches_reference_layout(self):
         table = nussinov_table(TABLE_SEQ_2)
