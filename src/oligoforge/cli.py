@@ -244,31 +244,34 @@ def cmd_fold(args) -> int:
             structure = folding.traceback(table, q, params)
             energy, pairs = table.min_free_energy, structure.sorted_pairs()
             folds, dot_bracket = energy <= args.threshold, folding.dot_bracket(structure, table.n)
+            # a record goes out as head, table text and tail: the table text,
+            # large for a long word, is never copied into one record string
             if args.format == "json":
                 # One record at a time, in the bytes json.dumps(records, indent=2)
                 # gives. q is upper-case ACGT and needs no escaping.
-                cells = _json_rows(folding.table_rows(table, energy_text.__getitem__, '"*"', _CELL))
                 out.write(
                     f'{"," if count else ""}\n  {{\n    "sequence": "{q}",\n'
                     f'    "min_free_energy": {energy},\n'
                     f'    "has_structure": {"true" if folds else "false"},\n'
                     f'    "threshold": {args.threshold},\n'
                     f'    "pairs": {_json_rows([f"{i}{_CELL}{j}" for i, j in pairs])},\n'
-                    f'    "dot_bracket": "{dot_bracket}",\n'
-                    f'    "table": {cells}\n  }}'
+                    f'    "dot_bracket": "{dot_bracket}",\n    "table": '
                 )
+                out.write(_json_rows(folding.table_rows(table, energy_text.__getitem__, '"*"', _CELL)))
             elif args.format == "text":
                 out.write(
                     f"sequence: {q}\nmin_free_energy: {energy}\n"
                     f"has_structure: {'yes' if folds else 'no'} (threshold {args.threshold})\n"
                     f"pairs: {' '.join(f'{i}:{j}' for i, j in pairs)}\ndot_bracket: {dot_bracket}\n"
-                    f"{folding.format_table_text(q, table)}\n\n"
                 )
+                out.write(folding.format_table_text(q, table))
             else:
                 out.write(
                     f"sequence,{q}\nmin_free_energy,{energy}\nhas_structure,{'yes' if folds else 'no'}\n"
-                    f"pairs,{' '.join(f'{i}:{j}' for i, j in pairs)}\n{folding.format_table_csv(q, table)}\n\n"
+                    f"pairs,{' '.join(f'{i}:{j}' for i, j in pairs)}\n"
                 )
+                out.write(folding.format_table_csv(q, table))
+            out.write("\n  }" if args.format == "json" else "\n\n")
         if args.format == "json":
             out.write("\n]\n" if sequences else "]\n")
     return EXIT_OK

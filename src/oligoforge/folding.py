@@ -1,10 +1,12 @@
 """Minimum-free-energy folding prediction for DNA words.
 
-The predictor fills a table E[i][j] holding the minimum energy of any
-non-crossing set of complementary pairings within positions i..j, using
-per-pair energies (A-T and G-C only), with position j either unpaired or
-paired to a complementary partner. All energies are exact integers; the
-simpler screening score in ``linear_energy`` uses exact rationals.
+The predictor fills a table of scores S[i][j] = -E[i][j], where E[i][j] is
+the minimum energy of any non-crossing set of complementary pairings within
+positions i..j, using per-pair energies (A-T and G-C only), with position j
+either unpaired or paired to a complementary partner. Every fill and table
+works in S; energies are negated only where a function returns one. All
+energies are exact integers; the simpler screening score in
+``linear_energy`` uses exact rationals.
 """
 
 from __future__ import annotations
@@ -64,21 +66,20 @@ DEFAULT_ENERGY_PARAMS = EnergyParams()
 
 
 class EnergyTable:
-    """Upper-triangular table of minimum energies for one sequence.
+    """Upper-triangular table of one sequence's minimum energies, kept as scores.
 
     value(i, j) is defined for 1 <= i <= n and i-1 <= j <= n (the j = i and
     j = i-1 cells are the zero boundary); anything below that is outside
-    the table. It keeps the scores S = -E flat (from a grid, or as given:
-    bytes from energy_tables), row i holding columns i-1..n in turn, at
-    _offsets(n)[i] + j; table_rows prints the cells j >= max(1, i-1) of each.
+    the table. It keeps the scores S = -E flat, as given (a list from
+    nussinov_table, bytes from energy_tables), row i holding columns i-1..n
+    in turn, at _offsets(n)[i] + j; table_rows prints the cells
+    j >= max(1, i-1) of each.
     """
 
     __slots__ = ("n", "scores")
 
-    def __init__(self, n: int, grid: list[list[int]] | None = None, scores=None):
+    def __init__(self, n: int, scores):
         self.n = n
-        if grid is not None:
-            scores = [-e for i in range(1, n + 1) for e in grid[i][i - 1 : n + 1]]
         self.scores = scores
 
     def value(self, i: int, j: int) -> int:
@@ -107,47 +108,49 @@ def _offsets(n: int) -> tuple[int, ...]:
 
 
 def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
-    """Energy grid of s, filled only where j - i < span.
+    """Score grid S = -E of s, filled only where j - i < span.
 
     Diagonal and first sub-diagonal start at zero. Each remaining cell
-    leaves j unpaired or pairs it with some partner k, i <= k < j:
+    leaves j unpaired or pairs it with some partner k, i <= k < j, with
+    the pair weight w = -alpha >= 0:
 
-        E[i][j] = min(E[i][j-1],
-                      min over k with alpha(q_k, q_j) < 0 of
-                          E[i][k-1] + (E[k+1][j-1] + alpha(q_k, q_j)))
+        S[i][j] = max(S[i][j-1],
+                      max over k with w(q_k, q_j) > 0 of
+                          S[i][k-1] + (S[k+1][j-1] + w(q_k, q_j)))
 
     Rows run from i = n-1 down to 1 and j runs upward. The bracketed term
     is fixed once row k+1 is filled, and each cell scans only column j's
     candidate list, sparsified as by Wexler, Zilberstein & Ziv-Ukelson
     (J. Comput. Biol. 2007) and Backofen, Tsur, Zakov & Ziv-Ukelson
     (J. Discrete Algorithms 2011): in row k, (k, j) joins it only when its
-    term is below every other value of cell (k, j), E[k][j-1] or a listed
-    E[k][k'-1] + term'. Otherwise, as E[i][k-1] + E[k][x] >= E[i][x] (two
+    term is above every other value of cell (k, j), S[k][j-1] or a listed
+    S[k][k'-1] + term'. Otherwise, as S[i][k-1] + S[k][x] <= S[i][x] (two
     structures side by side form one), every row i <= k already has a value
-    at most E[i][k-1] + term, so the table is the same cell for cell. A
+    at least S[i][k-1] + term, so the table is the same cell for cell. A
     cell within the span reads only cells within it, so row k stops at
     column k + span - 1.
     """
     n = len(s)
     alpha = _pair_table(params)
-    # pair energy of base x with each position j (index 0 unused)
-    pairing = {x: [0] + [alpha[x + y] for y in s] for x in set(s)}
+    # pair weight of base x with each position j (index 0 unused)
+    weight = {x: [0] + [-alpha[x + y] for y in s] for x in set(s)}
+    # scores are >= 0, so a sum from 0 to 256 is one of CPython's cached ints, not a new one
     grid = [[0] * (n + 1) for _ in range(n + 1)]
-    candidates = [[] for _ in range(n + 1)]  # column j: (k-1, E[k+1][j-1] + alpha)
+    candidates = [[] for _ in range(n + 1)]  # column j: (k-1, S[k+1][j-1] + w)
     for i in range(n - 1, 0, -1):
         row = grid[i]
         below = grid[i + 1]
         end = i + span  # columns i+1 .. end-1 are filled
         if end > n:
             end = n + 1
-        best = 0  # E[i][i]
-        for j, a in enumerate(pairing[s[i - 1]][i + 1 : end], i + 1):
+        best = 0  # S[i][i]
+        for j, w in enumerate(weight[s[i - 1]][i + 1 : end], i + 1):
             column = candidates[j]
             for left, c in column:
                 c += row[left]
-                if c < best:
+                if c > best:
                     best = c
-            if a and (term := below[j - 1] + a) < best:
+            if w and (term := below[j - 1] + w) > best:
                 column.append((i - 1, term))
                 best = term
             row[j] = best
@@ -155,15 +158,17 @@ def _fill(s: str, params: EnergyParams, span: int) -> list[list[int]]:
 
 
 def nussinov_table(q: DnaSequence | str, params: EnergyParams | None = None) -> EnergyTable:
-    """Fill the energy table for q.
+    """Fill the table of q's scores S = -E (see EnergyTable).
 
-    The fill (see _fill) runs over the full span and gives the same table,
+    The fill (see _fill) runs over the full span and gives the same scores,
     cell for cell, as the split form that pairs the endpoints or splits at
-    every k: both are the exact minimum over non-crossing structures within
-    i..j. Runs in O(n^3).
+    every k: both are the exact maximum over non-crossing structures within
+    i..j. The table takes the grid's rows i-1..n as they are, sharing their
+    ints. Runs in O(n^3).
     """
     s = DnaSequence(q)
-    return EnergyTable(len(s), _fill(s, params or DEFAULT_ENERGY_PARAMS, len(s)))
+    grid = _fill(s, params or DEFAULT_ENERGY_PARAMS, len(s))
+    return EnergyTable(len(s), [c for i, row in enumerate(grid[1:], 1) for c in row[i - 1 :]])
 
 
 def rotation_energies(
@@ -174,8 +179,9 @@ def rotation_energies(
     Rotation k*step of q is the window of length n starting at k*step in
     q + q, and a cell depends only on its own substring, so one fill of
     the arc (q + q)[: n + (count-1)*step] limited to spans below n holds
-    every rotation's energy at E[k*step + 1][k*step + n] (the doubling
-    trick of circular folding with the span limit of windowed folding).
+    every rotation's score at S[k*step + 1][k*step + n], its energy negated
+    (the doubling trick of circular folding with the span limit of windowed
+    folding).
     With count = 1 the arc is q itself and this is the fill nussinov_table makes.
     """
     s = DnaSequence(q)
@@ -183,13 +189,13 @@ def rotation_energies(
     if step < 1 or count < 1 or (count - 1) * step >= n:
         raise ValueError(f"rotations 0, {step}, ... ({count} of them) must stay below {n}")
     grid = _fill((s + s)[: n + (count - 1) * step], params or DEFAULT_ENERGY_PARAMS, n)
-    return [grid[k * step + 1][k * step + n] for k in range(count)]
+    return [-grid[k * step + 1][k * step + n] for k in range(count)]
 
 
 def min_free_energy(q: DnaSequence | str, params: EnergyParams | None = None) -> int:
-    """Minimum energy of q over all non-crossing pairings, read off _fill's grid."""
+    """Minimum energy of q over all non-crossing pairings, -S[1][n] of _fill's grid."""
     s = DnaSequence(q)
-    return _fill(s, params or DEFAULT_ENERGY_PARAMS, len(s))[1][len(s)]
+    return -_fill(s, params or DEFAULT_ENERGY_PARAMS, len(s))[1][len(s)]
 
 
 def min_free_energies(words, params: EnergyParams | None = None) -> list[int]:
@@ -199,20 +205,17 @@ def min_free_energies(words, params: EnergyParams | None = None) -> list[int]:
     fill over packed ints (bit slicing, Biham 1997; SIMD within a register,
     Fisher & Dietz 1998): lane l of each int holds word l's score S = -E in
     b = bit_length(floor(n/2) * max(-at, -gc)) + 1 bits, the top one a guard
-    bit. The fill is _fill's recursion in scores, over every k in every lane,
-
-        S[i][j] = max(S[i][j-1],
-                      max over i <= k < j of S[i][k-1] + S[k+1][j-1] + w(q_k, q_j)),
-
-    with the pair weight w = -alpha read from one-hot base masks per
-    position. It is exact in every lane. A pair's sum is the score of a
-    structure within i..j. A non-pair adds 0, and its sum scores a
-    structure within i..j-1, so it never beats S[i][j-1]. No sum exceeds
-    the best structure's score, at most floor(n/2) pairs of the larger
-    weight, so every sum fits below the guard bit and no lane carries into
-    the next. The lane-wise max subtracts the best from the candidate with
-    its guard bits set: a lane keeps its guard bit exactly where the
-    candidate is at least the best, and only those lanes add the difference.
+    bit. The fill is _fill's recursion with no candidate lists: every
+    i <= k < j in every lane, the pair weight w = -alpha read from one-hot
+    base masks per position. It is exact in every lane. A pair's sum is
+    the score of a structure within i..j. A non-pair adds 0, and its sum
+    scores a structure within i..j-1, so it never beats S[i][j-1]. No sum
+    exceeds the best structure's score, at most floor(n/2) pairs of the
+    larger weight, so every sum fits below the guard bit and no lane
+    carries into the next. The lane-wise max subtracts the best from the
+    candidate with its guard bits set: a lane keeps its guard bit exactly
+    where the candidate is at least the best, and only those lanes add the
+    difference.
 
     A group costs ~n^3/6 packed operations against n sparse fills, so a
     group of fewer than n words keeps the sparse fill of min_free_energy.
@@ -250,7 +253,7 @@ def energy_tables(words, params: EnergyParams | None = None):
         for i in range(1, n + 1):  # each row dropped once its bytes are out
             cells += b"".join(c.to_bytes(lanes, "big") for c in rows[i])
             rows[i] = None
-        return (EnergyTable(n, scores=cells[l::lanes]) for l in range(lanes))
+        return (EnergyTable(n, cells[l::lanes]) for l in range(lanes))
 
     texts = [DnaSequence(q) for q in words]
     for start in range(0, len(texts), LANE_BLOCK):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,23 @@ class TestNussinovTable:
         assert min_free_energy(TABLE_SEQ_2) == -1
         assert min_free_energy("AAAA") == 0
 
+    def test_table_shares_the_fills_small_int_scores(self):
+        # a score from 0 to 256 is one of CPython's cached ints, a larger one
+        # is shared by the cells that copy it, and the flat table points at
+        # the grid's ints: on this word of length 600 (S[1][n] = 402) the
+        # table's 180900 scores hold 12838 ints of their own, a 4.8 MiB peak.
+        # A fill in energies, uncached below -5, and a negated flat copy of
+        # its grid peak at 8.0 MiB
+        word = random_word(random.Random(600), 600)
+        tracemalloc.start()
+        try:
+            table = nussinov_table(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.min_free_energy == min_free_energy(word)
+        assert peak < 6.5 * 2**20
+
 
 def assert_sound_structure(word, table, structure, params=None):
     params = params or EnergyParams()
@@ -180,14 +198,24 @@ def assert_sound_structure(word, table, structure, params=None):
     assert total == structure.energy == table.min_free_energy
 
 
+# pair energies from -1000 up, so a lane is wider than a byte and a sparse
+# fill's score sums leave the small ints CPython caches, and both zero
+PAIR_ENERGIES = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(min_value=-1000, max_value=0), st.integers(min_value=-1000, max_value=0)),
+)
+# those, or both from -3 up, where structures of equal energy are common
+FILL_ENERGIES = st.one_of(
+    st.tuples(st.integers(min_value=-3, max_value=0), st.integers(min_value=-3, max_value=0)),
+    PAIR_ENERGIES,
+)
+
+
 class TestFillAgainstSplitForm:
     @settings(deadline=None)
-    @given(
-        word=st.text(alphabet="ACGT", min_size=1, max_size=40),
-        at=st.integers(min_value=-3, max_value=0),
-        gc=st.integers(min_value=-3, max_value=0),
-    )
-    def test_every_cell_and_traceback(self, word, at, gc):
+    @given(word=st.text(alphabet="ACGT", min_size=1, max_size=40), energies=FILL_ENERGIES)
+    def test_every_cell_and_traceback(self, word, energies):
+        at, gc = energies
         params = EnergyParams(at, gc)
         table = nussinov_table(word, params)
         grid = oracles.split_fill(word, at, gc)
@@ -195,7 +223,9 @@ class TestFillAgainstSplitForm:
         for i in range(1, n + 1):
             for j in range(max(i - 1, 1), n + 1):
                 assert table.value(i, j) == grid[i][j], (i, j)
-        reference = traceback(EnergyTable(n, grid), word, params)
+        # the reference table holds the split form's scores, row i at columns i-1..n
+        scores = [-e for i in range(1, n + 1) for e in grid[i][i - 1 : n + 1]]
+        reference = traceback(EnergyTable(n, scores), word, params)
         assert traceback(table, word, params) == reference
 
 
@@ -247,33 +277,26 @@ class TestSparseFill:
     @settings(deadline=None, max_examples=200)
     @given(
         word=st.text(alphabet="ACGT", min_size=1, max_size=60),
-        at=st.integers(min_value=-3, max_value=0),
-        gc=st.integers(min_value=-3, max_value=0),
+        energies=FILL_ENERGIES,
         data=st.data(),
     )
-    def test_every_windowed_cell_and_traceback(self, word, at, gc, data):
+    def test_every_windowed_cell_and_traceback(self, word, energies, data):
+        at, gc = energies
         n = len(word)
         step = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
         count = data.draw(st.integers(min_value=1, max_value=n // step))
         params = EnergyParams(at, gc)
         arc = (word + word)[: n + (count - 1) * step]
         grid = oracles.split_fill(arc, at, gc)
-        # the fill rotation_energies makes: spans below n over the arc
+        # the fill rotation_energies makes: scores S = -E, spans below n over the arc
         filled = _fill(arc, params, n)
         for i in range(1, len(arc) + 1):
             for j in range(i, min(i + n, len(arc) + 1)):
-                assert filled[i][j] == grid[i][j], (i, j)
+                assert filled[i][j] == -grid[i][j], (i, j)
         windows = [grid[k * step + 1][k * step + n] for k in range(count)]
         assert rotation_energies(word, step, count, params) == windows
         structure = traceback(nussinov_table(word, params), word, params)
         assert structure.energy == min_free_energy(word, params) == windows[0]
-
-
-# pair energies from -1000 up, so a lane is wider than a byte, and both zero
-PAIR_ENERGIES = st.one_of(
-    st.just((0, 0)),
-    st.tuples(st.integers(min_value=-1000, max_value=0), st.integers(min_value=-1000, max_value=0)),
-)
 
 
 class TestMinFreeEnergies:
