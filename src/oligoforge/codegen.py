@@ -10,6 +10,8 @@ two-bit base encoding yields (2^m - 1)^2 DNA words of constant GC-content
 Those bounds hold by construction, and code_properties takes the minimum
 distance 2^(m-1) and max mu 2^(m-2) from it when the words alone show that
 they are exactly such a code; any other word set goes through pair loops.
+verify_code folds one rotation orbit per pair of orbits that a base swap
+(C<->G, A<->T or both) maps onto each other, since a swap keeps energies.
 """
 
 from __future__ import annotations
@@ -392,6 +394,10 @@ class VerificationReport(
         return "\n".join(lines)
 
 
+# C<->G, A<->T and both (the complement): the base swaps that keep every energy
+_BASE_SWAPS = tuple(str.maketrans(x, y) for x, y in (("CG", "GC"), ("AT", "TA"), ("ACGT", "TGCA")))
+
+
 def verify_code(
     code: DnaCode,
     params: folding.EnergyParams | None = None,
@@ -408,6 +414,22 @@ def verify_code(
     many words fold. Each orbit of the code's rotation group is folded by
     one windowed fill of its representative (folding.rotation_energies);
     the energies are keyed in codeword order.
+
+    One fill also sets the orbit of each base swap s of its representative
+    t (C<->G, A<->T or both) that is a codeword not yet set:
+
+    - a swap keeps the two pair classes and maps any other two bases to
+      two that are neither, so alpha(swap x, swap y) = alpha(x, y) under
+      any EnergyParams, at = 0 or gc = 0 included: a pairing scores alike
+      in w and its swap, and so does the minimum.
+    - a swap acts on each base alone, so it commutes with rotation.
+    - the code is closed under rotation by its step d, so rot_kd s is a
+      codeword with energy(rot_kd s) = energy(swap(rot_kd t)) =
+      energy(rot_kd t). Orbits split the words, so an orbit is set in
+      whole or not at all, s shows which, and one set already is skipped.
+
+    The simplex code's C<->G swap maps (c_a, c_b) to (c_a, c_a ^ c_b), so
+    its n orbits take (n + 1)/2 fills: only (c_0, c_0)'s has no partner.
     """
     params = params or folding.DEFAULT_ENERGY_PARAMS
     props = code.properties
@@ -419,9 +441,13 @@ def verify_code(
     energies = dict.fromkeys(code.codewords)
     step = props.rotation_step
     for t in props.representatives:
-        for k, energy in enumerate(folding.rotation_energies(t, step, props.length // step, params)):
-            # rotations of a representative are codewords, so these keys exist
-            energies[t[k * step :] + t[: k * step]] = energy
+        if energies[t] is not None:
+            continue
+        fill = folding.rotation_energies(t, step, props.length // step, params)
+        for s in (t, *(t.translate(swap) for swap in _BASE_SWAPS)):
+            if energies.get(s, 0) is None:  # a codeword whose orbit is not set
+                for k, energy in enumerate(fill):
+                    energies[s[k * step :] + s[: k * step]] = energy
     return VerificationReport(
         properties=props,
         mu_bound=code.mu_bound,

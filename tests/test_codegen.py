@@ -2,13 +2,14 @@ import importlib.util
 import itertools
 import random
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoforge import cli, codegen
+from oligoforge import cli, codegen, folding
 from oligoforge.codegen import (
     PRIMITIVE_POLYNOMIALS,
     SimplexCodeError,
@@ -510,6 +511,113 @@ class TestClosedForm:
         out.write_text("\n".join(lines) + "\n")
         with pytest.raises(LoopsReached):
             cli.main(["verify", "--input", str(out)])
+
+
+# C<->G, A<->T and both: the base swaps that keep every pair's weight
+SWAPS = [str.maketrans("CG", "GC"), str.maketrans("AT", "TA"), str.maketrans("ACGT", "TGCA")]
+
+
+@st.composite
+def swap_sets(draw):
+    """Words closed under rotation by a divisor of n, a drawn subset of the
+    base words closed under one drawn swap first, and repeated words.
+
+    Some orbits get a swap partner and some do not; a base word u + swap(u)
+    is rot_(n/2) of its own swap, so its partner may lie in its own orbit.
+    """
+    n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    step = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    swap = draw(st.sampled_from(SWAPS))
+    halves = st.text(alphabet="ACGT", min_size=n // 2, max_size=n // 2)
+    word = st.text(alphabet="ACGT", min_size=n, max_size=n) | halves.map(lambda u: u + u.translate(swap))
+    bases = draw(st.lists(word, min_size=1, max_size=4))
+    closed = draw(st.lists(st.booleans(), min_size=len(bases), max_size=len(bases)))
+    bases += [w.translate(swap) for w, c in zip(bases, closed) if c]
+    words = [rotate(w, k) for w in bases for k in range(0, n, step)]
+    words += draw(st.lists(st.sampled_from(words), max_size=2))
+    return draw(st.permutations(words))
+
+
+def orbit_energies(code, params):
+    """Every codeword's energy in codeword order, by one fill per rotation
+    orbit and no orbits paired by a swap: the reference for verify_code."""
+    props, energies = code.properties, dict.fromkeys(code.codewords)
+    step = props.rotation_step
+    for t in props.representatives:
+        for k, energy in enumerate(folding.rotation_energies(t, step, props.length // step, params)):
+            energies[rotate(t, k * step)] = energy
+    return energies
+
+
+@cache
+def route_code(m, generator):
+    return build_dna_code(simplex_code(m, generator))
+
+
+class TestSwapPairedFolding:
+    """verify_code folds one rotation orbit per pair of orbits that a base
+    swap maps onto each other."""
+
+    @pytest.mark.parametrize("at,gc", [(-1, -2), (-3, -20), (0, -1), (-5, 0)])
+    @pytest.mark.parametrize("m,generator", list(route_generators()))
+    def test_energies_equal_one_fill_per_orbit(self, m, generator, at, gc):
+        code, params = route_code(m, generator), EnergyParams(at, gc)
+        expected = orbit_energies(code, params)
+        report = verify_code(code, params)
+        assert list(report.energies.items()) == list(expected.items())
+        assert report.folded == tuple(w for w in code.codewords if expected[w] <= report.threshold)
+
+    @settings(deadline=None, max_examples=300)
+    @given(words=swap_sets(), at=st.integers(-5, 0), gc=st.integers(-5, 0))
+    def test_swap_closed_in_part_or_not_at_all(self, words, at, gc):
+        params = EnergyParams(at, gc)
+        report = verify_code(load_dna_code(words), params)
+        assert list(report.energies.items()) == [(w, min_free_energy(w, params)) for w in dict.fromkeys(words)]
+
+    @staticmethod
+    def fills(monkeypatch):
+        """The arguments of every rotation_energies call from here on."""
+        calls, fill = [], folding.rotation_energies
+
+        def counted(*args):
+            calls.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(folding, "rotation_energies", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_simplex_code_takes_one_fill_per_swap_pair(self, m, monkeypatch):
+        code = build_dna_code(simplex_code(m))
+        calls = self.fills(monkeypatch)
+        verify_code(code)
+        assert len(calls) == (code.properties.length + 1) // 2
+
+    @pytest.mark.parametrize("m,expected", [(4, 120), (5, 496)])
+    def test_edited_code_pairs_its_words(self, m, expected, monkeypatch):
+        words = [w.text for w in build_dna_code(simplex_code(m)).codewords]
+        words[0] = words[0][::-1]
+        code = load_dna_code(words)
+        calls = self.fills(monkeypatch)
+        verify_code(code)
+        assert code.properties.rotation_step == code.properties.length
+        assert (len(calls), code.properties.size) == (expected, (2**m - 1) ** 2)
+
+    @pytest.mark.parametrize(
+        "bases,expected",
+        [
+            (["CCGG"], 1),  # its C<->G swap GGCC is its own rotation by 2
+            (["AACG", "TTGC"], 1),  # complements of each other
+            (["AACG", "AAGC", "TTCG", "TTGC"], 1),  # each swap of AACG
+            (["AACG", "ACCG"], 2),  # no swap of either is a codeword
+        ],
+    )
+    def test_partner_orbits_share_a_fill(self, bases, expected, monkeypatch):
+        words = [rotate(w, k) for w in bases for k in range(len(w))]
+        calls = self.fills(monkeypatch)
+        report = verify_code(load_dna_code(words))
+        assert len(calls) == expected
+        assert list(report.energies.items()) == [(w, min_free_energy(w)) for w in words]
 
 
 class TestShiftMatchValues:
